@@ -363,6 +363,30 @@ let topo_cmd =
 (* ------------------------------------------------------------------ *)
 (* optimize                                                           *)
 
+(* --metrics FILE, shared by both optimize paths: [start_metrics]
+   before the searches, [write_metrics] after them writes FILE
+   (Prometheus text), FILE.json and FILE.manifest.json. *)
+let start_metrics metrics_file =
+  if metrics_file <> None then begin
+    Dtr_util.Metrics.set_enabled true;
+    Dtr_util.Metrics.reset ()
+  end
+
+let write_metrics metrics_file ~manifest =
+  match metrics_file with
+  | None -> ()
+  | Some path ->
+      let put p s =
+        let oc = open_out p in
+        Fun.protect
+          ~finally:(fun () -> close_out oc)
+          (fun () -> output_string oc s)
+      in
+      put path (Dtr_util.Metrics.to_prometheus ());
+      put (path ^ ".json") (Dtr_util.Metrics.to_json ());
+      Dtr_core.Manifest.write ~path:(path ^ ".manifest.json") (manifest ());
+      Printf.printf "metrics written to %s (+.json, +.manifest.json)\n" path
+
 (* Large-preset path: one STR + DTR search-bench run on the 1k-10k
    tier.  Outcome lines (objectives, improvements, evaluations, memo
    counters) go to stdout — deterministic in (preset, seed, config)
@@ -370,7 +394,7 @@ let topo_cmd =
    --scan-jobs values; progress and the timing table go to stderr. *)
 let optimize_large p ~model ~fraction ~density ~util ~seed ~restarts
     ~scan_jobs ~robust ~alpha ~top_k ~time_budget ~search_iters ~init_weights
-    ~save_weights ~trace_file ~trace_no_time ~trace_sample =
+    ~save_weights ~trace_file ~trace_no_time ~metrics_file ~trace_sample =
   let module Search_bench = Dtr_experiments.Search_bench in
   let module Trace = Dtr_core.Trace in
   if restarts > 1 then
@@ -397,6 +421,7 @@ let optimize_large p ~model ~fraction ~density ~util ~seed ~restarts
           Some n )
   in
   let w0 = load_init_weights init_weights in
+  start_metrics metrics_file;
   Printf.printf
     "scenario: %s preset, %s cost, f=%.0f%%, k=%.0f%%, target util %.2f\n%!"
     p.Dtr_topology.Large.name
@@ -414,16 +439,18 @@ let optimize_large p ~model ~fraction ~density ~util ~seed ~restarts
       ~progress:(fun s -> Printf.eprintf "%s\n%!" s)
       ~trace ~model p
   in
+  let manifest () =
+    Dtr_core.Manifest.to_json ~seed ~restarts
+      ~model:(Objective.model_name model)
+      ~topology:p.Dtr_topology.Large.name ~config:cfg ()
+  in
   (match trace_file with
   | None -> ()
   | Some path ->
       Option.iter close_out trace_oc;
-      Dtr_core.Manifest.write
-        ~path:(path ^ ".manifest.json")
-        (Dtr_core.Manifest.to_json ~seed ~restarts
-           ~model:(Objective.model_name model)
-           ~topology:p.Dtr_topology.Large.name ~config:cfg ());
+      Dtr_core.Manifest.write ~path:(path ^ ".manifest.json") (manifest ());
       Printf.printf "trace written to %s\n" path);
+  write_metrics metrics_file ~manifest;
   List.iter
     (fun (r : Search_bench.row) ->
       Printf.printf
@@ -448,10 +475,10 @@ let optimize_cmd =
     | `Large p ->
         optimize_large p ~model ~fraction ~density ~util ~seed ~restarts
           ~scan_jobs ~robust ~alpha ~top_k ~time_budget ~search_iters
-          ~init_weights ~save_weights ~trace_file ~trace_no_time ~trace_sample
+          ~init_weights ~save_weights ~trace_file ~trace_no_time ~metrics_file
+          ~trace_sample
     | `Budget preset ->
     let module Trace = Dtr_core.Trace in
-    let module Metrics = Dtr_util.Metrics in
     let preset = with_scan_jobs preset scan_jobs in
     let preset = with_robust preset robust ~alpha ~top_k in
     let preset = with_trace_sample preset trace_sample in
@@ -464,11 +491,9 @@ let optimize_cmd =
     in
     if restarts > 1 && (w0 <> None || stop <> None) then
       failwith "--init-weights/--time-budget require --restarts 1";
-    ignore search_iters;
-    if metrics_file <> None then begin
-      Metrics.set_enabled true;
-      Metrics.reset ()
-    end;
+    if search_iters <> None then
+      failwith "--search-iters is only supported on large presets";
+    start_metrics metrics_file;
     let spec = make_spec topology fraction density seed in
     let inst = Scenario.make spec in
     (* One provenance record shared by every artifact of this run. *)
@@ -479,19 +504,7 @@ let optimize_cmd =
         ~config:preset ~graph:inst.Scenario.graph ()
     in
     let write_artifacts () =
-      (match metrics_file with
-      | None -> ()
-      | Some path ->
-          let put p s =
-            let oc = open_out p in
-            Fun.protect
-              ~finally:(fun () -> close_out oc)
-              (fun () -> output_string oc s)
-          in
-          put path (Metrics.to_prometheus ());
-          put (path ^ ".json") (Metrics.to_json ());
-          Dtr_core.Manifest.write ~path:(path ^ ".manifest.json") (manifest ());
-          Printf.printf "metrics written to %s (+.json, +.manifest.json)\n" path);
+      write_metrics metrics_file ~manifest;
       match trace_file with
       | None -> ()
       | Some path ->
@@ -735,7 +748,7 @@ let optimize_cmd =
              (STR's value-scan count and DTR's three routines alike).  \
              Without a --time-budget this makes the whole run — and \
              its stdout — deterministic, which is what the CI \
-             scan-jobs invariance check diffs.  Ignored on the \
+             scan-jobs invariance check diffs.  Rejected on the \
              dense-topology path.")
   in
   Cmd.v
@@ -1127,7 +1140,7 @@ let diff_cmd =
        ~doc:
          "Compare two weight settings of one scenario: changed arcs, \
           per-class rerouted pairs and demand, traffic moved, \
-          utilization/$(b,\\\\Phi)$/$(b,\\\\Lambda) deltas, and the MT-OSPF \
+          utilization/Φ/Λ deltas, and the MT-OSPF \
           reconvergence price of deploying the change as one batch")
     Term.(
       const run $ topology_arg $ model_arg $ fraction_arg $ density_arg

@@ -43,13 +43,6 @@ type solution = {
   result : Objective.result;
 }
 
-type class_routing = {
-  w : int array;
-  dags : Spf.dag array;
-  loads : float array;
-  mutable sla_cache : Evaluate.sla option;
-}
-
 let objective s = s.result.Objective.objective
 
 (* Evaluation accounting.  Two levels:
@@ -141,120 +134,71 @@ let spf_sweep t ~w ~matrices =
   | None -> Spf.all_destinations t.graph ~weights:w
   | Some active -> Spf.for_destinations t.graph ~weights:w ~active
 
-let route_with t matrix w =
+(* From-scratch evaluation: validated, copied weights and their SPF
+   sweep over [matrices]' destinations, then both classes' loads. *)
+let route t w ~matrices =
   Weights.validate t.graph w;
   let w = Array.copy w in
-  let dags = spf_sweep t ~w ~matrices:[ matrix ] in
-  let loads = Loads.of_matrix t.graph ~dags matrix in
-  { w; dags; loads; sla_cache = None }
+  (w, spf_sweep t ~w ~matrices)
 
-let route_h t w = route_with t t.th w
+let solution_of t ~wh ~wl ~dags_h ~dags_l =
+  let h_loads = Loads.of_matrix t.graph ~dags:dags_h t.th in
+  let l_loads = Loads.of_matrix t.graph ~dags:dags_l t.tl in
+  let eval = Evaluate.assemble t.graph ~dags_h ~h_loads ~dags_l ~l_loads in
+  { wh; wl; result = Objective.of_eval t.model eval ~th:t.th () }
 
-let route_l t w = route_with t t.tl w
-
-let routing_weights r = Array.copy r.w
-
-let combine_raw t ~h ~l =
-  let eval =
-    Evaluate.assemble t.graph ~dags_h:h.dags ~h_loads:h.loads ~dags_l:l.dags
-      ~l_loads:l.loads
-  in
-  let result =
-    match t.model with
-    | Objective.Load -> Objective.of_eval t.model eval ~th:t.th ()
-    | Objective.Sla params -> (
-        match h.sla_cache with
-        | Some sla -> Objective.of_eval t.model eval ~th:t.th ~sla ()
-        | None ->
-            let sla = Evaluate.evaluate_sla params eval ~th:t.th in
-            h.sla_cache <- Some sla;
-            Objective.of_eval t.model eval ~th:t.th ~sla ())
-  in
-  { wh = h.w; wl = l.w; result }
-
-let combine t ~h ~l =
+let eval_dtr t ~wh ~wl =
   count_full ();
-  combine_raw t ~h ~l
-
-let eval_dtr t ~wh ~wl = combine t ~h:(route_h t wh) ~l:(route_l t wl)
-
-let eval_str_raw t ~w =
-  Weights.validate t.graph w;
-  let w = Array.copy w in
-  let dags = spf_sweep t ~w ~matrices:[ t.th; t.tl ] in
-  let h_loads = Loads.of_matrix t.graph ~dags t.th in
-  let l_loads = Loads.of_matrix t.graph ~dags t.tl in
-  let eval =
-    Evaluate.assemble t.graph ~dags_h:dags ~h_loads ~dags_l:dags ~l_loads
-  in
-  let result = Objective.of_eval t.model eval ~th:t.th () in
-  { wh = w; wl = w; result }
+  let wh, dags_h = route t wh ~matrices:[ t.th ] in
+  let wl, dags_l = route t wl ~matrices:[ t.tl ] in
+  solution_of t ~wh ~wl ~dags_h ~dags_l
 
 let eval_str t ~w =
   count_full ();
-  eval_str_raw t ~w
+  let w, dags = route t w ~matrices:[ t.th; t.tl ] in
+  solution_of t ~wh:w ~wl:w ~dags_h:dags ~dags_l:dags
 
 let is_str s = s.wh == s.wl
-
-let h_routing_of s =
-  {
-    w = s.wh;
-    dags = s.result.Objective.eval.Evaluate.dags_h;
-    loads = s.result.Objective.eval.Evaluate.h_loads;
-    sla_cache = s.result.Objective.sla;
-  }
-
-let l_routing_of s =
-  {
-    w = s.wl;
-    dags = s.result.Objective.eval.Evaluate.dags_l;
-    loads = s.result.Objective.eval.Evaluate.l_loads;
-    sla_cache = None;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Incremental evaluation.
 
    A [ctx] wraps an {!Eval_ctx.t} with class 0 = H, class 1 = L (for
    STR both classes alias one weight vector, so one probe moves both).
-   [eval_delta] evaluates single candidates as probes whenever the
-   objective is reachable incrementally, and falls back to a full
-   evaluation when it is not: under the SLA model a high-priority
-   weight change moves the delay of every H path, so Λ cannot be
-   patched from per-arc Φ deltas — the per-pair delays must be
-   re-walked, which is what the full evaluation does anyway. *)
+   [eval_delta] scores every candidate as a probe, under both cost
+   models.  Under the SLA model a change that moves W_H moves the
+   delay of every H path, so Λ is re-walked over the probe's class-0
+   DAGs and Φ row (Evaluate.sla_of_rows — the same fold a full
+   evaluation runs); a W_L change leaves Λ at the context's value. *)
 
 type cls = [ `H | `L ]
 
 module Vhash = Dtr_util.Vhash
 
 type ctx = {
-  mutable ec : Eval_ctx.t;
+  ec : Eval_ctx.t;
   c_str : bool;
   mutable c_sla : Evaluate.sla option;
       (* delay/penalty evaluation of the context's CURRENT high-priority
-         routing; invalidated whenever a commit moves W_H *)
+         routing (SLA model); replaced whenever a commit moves W_H *)
   mutable c_version : int;  (* bumps on every commit *)
   mutable c_log : (int * int array) list;
       (* newest-first (version, arcs whose per-arc rows that commit
-         moved); bounded, cleared on full-fallback commits so readers
-         see the gap and fall back to a full recompute *)
+         moved); bounded, so a reader lagging past it sees the gap and
+         recomputes from scratch *)
   mutable c_key : int option;
       (* Zobrist base key of the current weight vectors (both classes),
-         shifted per change on probe commits; None until first demanded
-         or after a full-fallback commit *)
+         shifted per change on commits; None until first demanded *)
 }
 
-let ec_of_solution t s =
+let ctx_of_solution t s =
   let eval = s.result.Objective.eval in
   let weights = if is_str s then [| s.wh; s.wh |] else [| s.wh; s.wl |] in
   let dags = [| eval.Evaluate.dags_h; eval.Evaluate.dags_l |] in
-  Eval_ctx.create ~dags ~dest_mode:t.dest_mode t.graph ~weights
-    ~matrices:[| t.th; t.tl |]
-
-let ctx_of_solution t s =
   {
-    ec = ec_of_solution t s;
+    ec =
+      Eval_ctx.create ~dags ~dest_mode:t.dest_mode t.graph ~weights
+        ~matrices:[| t.th; t.tl |];
     c_str = is_str s;
     c_sla = s.result.Objective.sla;
     c_version = 0;
@@ -365,8 +309,10 @@ let weight_changes base w' =
 type delta = {
   d_cls : cls;
   d_changes : (int * int) list;  (* the candidate's (arc, weight) changes *)
-  d_probe : Eval_ctx.probe option;  (* incremental path *)
-  d_full : solution option;  (* fallback path *)
+  d_probe : Eval_ctx.probe;
+  d_sla : Evaluate.sla option;
+      (* the candidate's SLA evaluation when the probe moved W_H under
+         the SLA model; None otherwise *)
   d_objective : Lexico.t;
   d_phi_h : float;
   d_phi_l : float;
@@ -378,64 +324,37 @@ let delta_phi_h d = d.d_phi_h
 
 let delta_phi_l d = d.d_phi_l
 
-let apply_changes w changes =
-  let w' = Array.copy w in
-  List.iter (fun (a, v) -> w'.(a) <- v) changes;
-  w'
-
 let eval_delta ?(count = true) t ctx ~cls ~changes =
-  let probe_path ~lambda =
-    if count then count_delta ();
-    let klass = match cls with `H -> 0 | `L -> 1 in
-    let p = Eval_ctx.probe ctx.ec ~klass ~changes in
-    let phi = Eval_ctx.probe_phi p in
-    let primary = match lambda with None -> phi.(0) | Some l -> l in
-    {
-      d_cls = cls;
-      d_changes = changes;
-      d_probe = Some p;
-      d_full = None;
-      d_objective = Lexico.make ~primary ~secondary:phi.(1);
-      d_phi_h = phi.(0);
-      d_phi_l = phi.(1);
-    }
+  if count then count_delta ();
+  let p =
+    Eval_ctx.probe ctx.ec ~klass:(match cls with `H -> 0 | `L -> 1) ~changes
   in
-  let full sol =
-    let ev = sol.result.Objective.eval in
-    {
-      d_cls = cls;
-      d_changes = changes;
-      d_probe = None;
-      d_full = Some sol;
-      d_objective = sol.result.Objective.objective;
-      d_phi_h = ev.Evaluate.phi_h;
-      d_phi_l = ev.Evaluate.phi_l;
-    }
+  let phi = Eval_ctx.probe_phi p in
+  let primary, d_sla =
+    match t.model with
+    | Objective.Load -> (phi.(0), None)
+    | Objective.Sla params ->
+        if ctx.c_str || cls = `H then
+          let sla =
+            Evaluate.sla_of_rows params t.graph
+              ~dags_h:(Eval_ctx.probe_dags ctx.ec p 0)
+              ~phi_h_per_arc:(Eval_ctx.probe_phi_row ctx.ec p 0)
+              ~th:t.th
+          in
+          (sla.Evaluate.lambda, Some sla)
+        else
+          (* W_L cannot affect the H routing, so Λ is the context's. *)
+          ((ctx_sla params t ctx).Evaluate.lambda, None)
   in
-  match t.model with
-  | Objective.Load -> probe_path ~lambda:None
-  | Objective.Sla params ->
-      if ctx.c_str then
-        (* Any STR change moves the high-priority routing. *)
-        let w = apply_changes (Eval_ctx.weights ctx.ec 0) changes in
-        full (if count then eval_str t ~w else eval_str_raw t ~w)
-      else if cls = `L then
-        (* W_L cannot affect the H routing, so Λ is the cached value and
-           only the secondary Φ_L needs the probe. *)
-        probe_path ~lambda:(Some (ctx_sla params t ctx).Evaluate.lambda)
-      else
-        (* FindH under SLA: fall back (see the module comment above). *)
-        let wh = apply_changes (Eval_ctx.weights ctx.ec 0) changes in
-        let l =
-          {
-            w = Eval_ctx.weights ctx.ec 1;
-            dags = Eval_ctx.dags ctx.ec 1;
-            loads = Eval_ctx.loads ctx.ec 1;
-            sla_cache = None;
-          }
-        in
-        full
-          ((if count then combine else combine_raw) t ~h:(route_h t wh) ~l)
+  {
+    d_cls = cls;
+    d_changes = changes;
+    d_probe = p;
+    d_sla;
+    d_objective = Lexico.make ~primary ~secondary:phi.(1);
+    d_phi_h = phi.(0);
+    d_phi_l = phi.(1);
+  }
 
 (* Arc rankings for neighborhood construction, read from the live
    context's rows (shared, replaced-not-mutated on commit) instead of
@@ -500,26 +419,15 @@ let trim_log log =
   take log_bound log
 
 let commit_delta t ctx d =
-  match (d.d_probe, d.d_full) with
-  | Some p, _ ->
-      shift_key ctx ~cls:d.d_cls ~changes:d.d_changes;
-      let touched = Array.of_list (Eval_ctx.probe_touched p) in
-      Eval_ctx.commit ctx.ec p;
-      ctx.c_version <- ctx.c_version + 1;
-      ctx.c_log <- trim_log ((ctx.c_version, touched) :: ctx.c_log);
-      if ctx.c_str || d.d_cls = `H then ctx.c_sla <- None;
-      ctx_solution t ctx
-  | None, Some sol ->
-      ctx.ec <- ec_of_solution t sol;
-      ctx.c_sla <- sol.result.Objective.sla;
-      ctx.c_version <- ctx.c_version + 1;
-      ctx.c_log <- [];
-      ctx.c_key <- None;
-      sol
-  | None, None -> assert false
+  shift_key ctx ~cls:d.d_cls ~changes:d.d_changes;
+  let touched = Array.of_list (Eval_ctx.probe_touched d.d_probe) in
+  Eval_ctx.commit ctx.ec d.d_probe;
+  ctx.c_version <- ctx.c_version + 1;
+  ctx.c_log <- trim_log ((ctx.c_version, touched) :: ctx.c_log);
+  if ctx.c_str || d.d_cls = `H then ctx.c_sla <- d.d_sla;
+  ctx_solution t ctx
 
-let abort_delta ctx d =
-  match d.d_probe with Some p -> Eval_ctx.abort ctx.ec p | None -> ()
+let abort_delta ctx d = Eval_ctx.abort ctx.ec d.d_probe
 
 (* ------------------------------------------------------------------ *)
 (* Failure-robust pricing: one single-link sweep against the context's

@@ -42,31 +42,6 @@ val eval_str : t -> w:int array -> solution
 
 val is_str : solution -> bool
 
-type class_routing
-(** One traffic class's routing state (weights, shortest-path DAGs,
-    arc loads) — the reusable half of an evaluation when a search pass
-    mutates only the other class's weights. *)
-
-val route_h : t -> int array -> class_routing
-(** Route the high-priority matrix on the given weights. *)
-
-val route_l : t -> int array -> class_routing
-(** Route the low-priority matrix on the given weights. *)
-
-val routing_weights : class_routing -> int array
-(** The weight vector the routing was computed from (fresh copy). *)
-
-val combine : t -> h:class_routing -> l:class_routing -> solution
-(** Assemble a solution from per-class routings.  Under the SLA model
-    the delay/penalty computation is cached inside the high-priority
-    routing, so re-combining the same [h] with many [l] candidates
-    (FindL) costs only the low-priority Fortz sum. *)
-
-val h_routing_of : solution -> class_routing
-(** Recover the (cached) high-priority routing of a solution. *)
-
-val l_routing_of : solution -> class_routing
-
 (** {2 Incremental evaluation}
 
     The search inner loops scan many candidates that differ from the
@@ -83,10 +58,11 @@ val l_routing_of : solution -> class_routing
     Protocol: take any number of probes from the same context state
     (apply/undo — probes never modify the context), then
     {!commit_delta} the winner (advancing the context) or
-    {!abort_delta} the rest.  Under the SLA model a high-priority
-    change re-prices every H path delay, which per-arc deltas cannot
-    express, so those probes transparently fall back to a full
-    evaluation (and committing one resynchronizes the context). *)
+    {!abort_delta} the rest.  Every candidate is a probe, under both
+    cost models: under the SLA model a change that moves W_H re-walks
+    Λ over the probe's high-priority DAGs and Fortz row
+    ({!Dtr_routing.Evaluate.sla_of_rows}), and committing it installs
+    that SLA evaluation as the context's. *)
 
 type ctx
 (** Live evaluation state of an incumbent solution. *)
@@ -119,25 +95,23 @@ val ctx_changes_since : ctx -> since:int -> int array option
     moved in the commits after version [since]: [Some [||]] when the
     context is still at [since], [Some arcs] (possibly with
     duplicates across commits) when the bounded commit log covers the
-    whole range, [None] when it does not — a full-fallback commit
-    intervened, or the reader lags more than the log holds — and the
-    caller must recompute from scratch.  Rankings sorted by
-    {!ctx_arc_cmp_h}/{!ctx_arc_cmp_l} can be repaired from exactly
-    this set: untouched arcs' cost rows are unchanged, so their
-    relative order is preserved. *)
+    whole range, [None] when it does not — the reader lags more than
+    the log holds — and the caller must recompute from scratch.
+    Rankings sorted by {!ctx_arc_cmp_h}/{!ctx_arc_cmp_l} can be
+    repaired from exactly this set: untouched arcs' cost rows are
+    unchanged, so their relative order is preserved. *)
 
 val ctx_base_key : ctx -> int
 (** Zobrist base key of the context's current weight vectors (class 0
     under cls 0 XOR class 1 under cls 1 — the construction
     {!Scan.candidate_keys} shifts candidates from).  Computed O(arcs)
     on first demand, then maintained by two {!Dtr_util.Vhash.shift}s
-    per changed arc across probe commits; bitwise-identical to
+    per changed arc across commits; bitwise-identical to
     {!ctx_base_key_fresh} always. *)
 
 val ctx_base_key_fresh : ctx -> int
 (** The same key recomputed from scratch (test/reference oracle for
-    {!ctx_base_key}; also the fallback after full-evaluation
-    commits). *)
+    {!ctx_base_key}). *)
 
 val clone_ctx : t -> ctx -> ctx
 (** A context evaluating identically to [ctx] but owning its mutable
@@ -148,10 +122,11 @@ val clone_ctx : t -> ctx -> ctx
 
 val sync_ctx : src:ctx -> dst:ctx -> unit
 (** Resynchronize a clone with its original by blitting the shared-row
-    spine (no re-evaluation).  Sound even after [src] was rebuilt by a
-    full-evaluation fallback commit: contexts of one problem share
-    shapes, and demand is weight-independent (strong connectivity), so
-    the blit reproduces [src]'s evaluation state exactly.
+    spine (no re-evaluation).  [src] may also be a different context
+    of the same problem (a caller that replaced its context with a
+    fresh {!ctx_of_solution}): contexts of one problem share shapes,
+    and demand is weight-independent (strong connectivity), so the
+    blit reproduces [src]'s evaluation state exactly.
     @raise Invalid_argument on incompatible contexts. *)
 
 val ctx_arc_cmp_h : t -> ctx -> int -> int -> int
@@ -180,9 +155,11 @@ type delta
 val eval_delta :
   ?count:bool -> t -> ctx -> cls:cls -> changes:(int * int) list -> delta
 (** Evaluate the candidate obtained by applying [changes] to [cls]'s
-    current weight vector.  Counted under {!delta_evaluations} when the
-    incremental path is taken, under {!full_evaluations} otherwise.
-    [~count:false] suppresses both counters: the scan engine uses it to
+    current weight vector.  Always an {!Dtr_routing.Eval_ctx.probe} —
+    never a from-scratch evaluation — and counted under
+    {!delta_evaluations}, under either cost model (an SLA candidate
+    that moves W_H adds one Λ walk over the probe's rows).
+    [~count:false] suppresses the counter: the scan engine uses it to
     re-derive an already-counted winner against the main context, so
     reported evaluation counts stay independent of [--scan-jobs]. *)
 
@@ -243,10 +220,11 @@ val evaluations : unit -> int
 
 val full_evaluations : unit -> int
 (** The subset of {!evaluations} performed from scratch
-    ({!eval_str}, {!eval_dtr}, {!combine}, and delta fallbacks). *)
+    ({!eval_str}, {!eval_dtr}). *)
 
 val delta_evaluations : unit -> int
-(** The subset of {!evaluations} performed incrementally. *)
+(** The subset of {!evaluations} performed incrementally (every
+    {!eval_delta}). *)
 
 val domain_evaluations : unit -> int
 (** Evaluations performed by the {e calling domain} only.  The search

@@ -279,6 +279,26 @@ let probe_phi p = Array.copy p.p_phi
 
 let probe_touched p = p.p_touched
 
+(* Rows a probe did not re-derive are the context's committed ones, so
+   both views are only meaningful against the state the probe was
+   taken from. *)
+let check_probe t name p k =
+  if k < 0 || k >= class_count t then
+    invalid_arg (Printf.sprintf "Eval_ctx.%s: class out of range" name);
+  if p.generation <> t.generation then
+    invalid_arg (Printf.sprintf "Eval_ctx.%s: stale probe" name)
+
+let probe_dags t p k =
+  check_probe t "probe_dags" p k;
+  let gi = t.class_group.(k) in
+  if gi = p.group then p.p_dags else t.group_dags.(gi)
+
+let probe_phi_row t p k =
+  check_probe t "probe_phi_row" p k;
+  match List.assoc_opt k p.p_phi_rows with
+  | Some row -> row
+  | None -> t.phi_per_arc.(k)
+
 (* Shared patch tail of {!probe} and {!fail_probe}: given re-projected
    per-destination contributions (tagged by class) and the arcs whose
    contribution moved, rebuild the affected load totals, the residual-

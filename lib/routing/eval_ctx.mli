@@ -17,7 +17,14 @@
     weights: per-arc loads receive at most one share per destination,
     so patched totals re-associate exactly as the full sum, and Φ
     totals are re-folded (not differentially adjusted) over the per-arc
-    array. *)
+    array.
+
+    It is the only engine [Dtr_core.Problem] scores search candidates
+    with, under every cost model: objectives beyond Φ are priced from a
+    probe's rows — the SLA objective Λ from {!probe_dags} and
+    {!probe_phi_row} of class 0 (and, for link failures, from
+    {!failure_dags} / {!failure_phi_row}) through
+    {!Evaluate.sla_of_rows}. *)
 
 type t
 
@@ -86,6 +93,20 @@ val probe_touched : probe -> int list
     residual capacities, Fortz costs — at exactly these indices, which
     is what lets callers repair sorted-by-cost arc rankings
     incrementally instead of re-sorting all arcs. *)
+
+val probe_dags : t -> probe -> int -> Dtr_graph.Spf.dag array
+(** The candidate's per-destination DAGs of a class (shared with the
+    context for untouched destinations and classes; treat as
+    immutable).  With {!probe_phi_row} this is what an objective
+    beyond Φ — the SLA delay walk — is priced from.
+    @raise Invalid_argument on a class out of range or a stale
+    probe. *)
+
+val probe_phi_row : t -> probe -> int -> float array
+(** The candidate's per-arc Fortz costs of a class (the committed row
+    when the probe did not move it; shared, treat as immutable).
+    @raise Invalid_argument on a class out of range or a stale
+    probe. *)
 
 val commit : t -> probe -> unit
 (** Install a probe.  Only probes taken from the current state may be

@@ -65,9 +65,20 @@ type sla = {
   worst_delay : float;  (** max pair delay; 0. with no pairs *)
 }
 
-val evaluate_sla : Dtr_cost.Sla.params -> t -> th:Dtr_traffic.Matrix.t -> sla
+val sla_of_rows :
+  Dtr_cost.Sla.params ->
+  Dtr_graph.Graph.t ->
+  dags_h:Dtr_graph.Spf.dag array ->
+  phi_h_per_arc:float array ->
+  th:Dtr_traffic.Matrix.t ->
+  sla
 (** SLA view over high-priority pairs (entries of [th] with positive
-    demand), using the high-priority DAGs and loads from [t].  A
-    disconnected pair does not raise: it contributes an infinite
-    penalty (so any reconnecting routing compares strictly better) and
-    is counted in [unreachable]. *)
+    demand), priced from the high-priority DAGs and per-arc Fortz
+    costs — the one place Λ is folded (full evaluations, incremental
+    probes and failure probes all call it).  A disconnected pair does
+    not raise: it contributes an infinite penalty (so any reconnecting
+    routing compares strictly better) and is counted in
+    [unreachable]. *)
+
+val evaluate_sla : Dtr_cost.Sla.params -> t -> th:Dtr_traffic.Matrix.t -> sla
+(** {!sla_of_rows} on [t]'s high-priority DAGs and Fortz row. *)

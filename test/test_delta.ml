@@ -325,51 +325,93 @@ let check_lex ~what a b =
     Alcotest.failf "%s: ⟨%.17g, %.17g⟩ vs ⟨%.17g, %.17g⟩" what
       a.Lexico.primary a.Lexico.secondary b.Lexico.primary b.Lexico.secondary
 
+(* Single-arc changes alternate with multi-arc ones — a diversification
+   step's [Weights.perturb] — so change lists of every length reach the
+   probe path. *)
+let random_changes rng ~step w =
+  if step mod 2 = 0 then [ random_change rng w ]
+  else Problem.weight_changes w (Weights.perturb rng ~fraction:0.25 w)
+
+let apply_changes w changes =
+  let w' = Array.copy w in
+  List.iter (fun (a, v) -> w'.(a) <- v) changes;
+  w'
+
+(* A committed context ranks arcs exactly as a fresh context of its
+   solution does: under the SLA model the H ranking reads the delay
+   row the commit installed, so this pins the installed record. *)
+let check_arc_order ~what problem ctx sol =
+  let fresh = Problem.ctx_of_solution problem sol in
+  let m = Graph.arc_count problem.Problem.graph in
+  List.iter
+    (fun (name, cmp) ->
+      let live = cmp problem ctx and scratch = cmp problem fresh in
+      for a = 0 to m - 1 do
+        for b = 0 to m - 1 do
+          if compare (live a b) 0 <> compare (scratch a b) 0 then
+            Alcotest.failf "%s: %s orders arcs %d, %d differently" what name a
+              b
+        done
+      done)
+    [ ("ctx_arc_cmp_h", Problem.ctx_arc_cmp_h); ("ctx_arc_cmp_l", Problem.ctx_arc_cmp_l) ]
+
+let check_sla ~what (a : Problem.solution) (b : Problem.solution) =
+  match (a.Problem.result.Objective.sla, b.Problem.result.Objective.sla) with
+  | None, None -> ()
+  | Some x, Some y ->
+      if
+        x.Evaluate.arc_delay <> y.Evaluate.arc_delay
+        || x.Evaluate.pair_delays <> y.Evaluate.pair_delays
+        || x.Evaluate.violations <> y.Evaluate.violations
+      then Alcotest.failf "%s: SLA evaluation differs from scratch" what
+  | _ -> Alcotest.failf "%s: SLA evaluation present on one side only" what
+
 let problem_delta_matches seed =
   let g = random_graph seed in
   let rng = Prng.create (seed * 23 + 9) in
   let th, tl = random_matrices rng g in
   List.iter
-    (fun model ->
-      let problem = Problem.create ~graph:g ~th ~tl ~model in
+    (fun (model, dest_mode) ->
+      let problem =
+        { (Problem.create ~graph:g ~th ~tl ~model) with Problem.dest_mode }
+      in
       (* STR context. *)
       let w0 = Weights.random rng g in
       let sol = ref (Problem.eval_str problem ~w:w0) in
       let ctx = Problem.ctx_of_solution problem !sol in
-      for _ = 1 to 3 do
+      for step = 1 to 4 do
         let w = !sol.Problem.wh in
-        let arc, v = random_change rng w in
-        let d = Problem.eval_delta problem ctx ~cls:`H ~changes:[ (arc, v) ] in
-        let w' = Array.copy w in
-        w'.(arc) <- v;
-        let scratch = Problem.eval_str problem ~w:w' in
+        let changes = random_changes rng ~step w in
+        let d = Problem.eval_delta problem ctx ~cls:`H ~changes in
+        let scratch = Problem.eval_str problem ~w:(apply_changes w changes) in
         check_lex ~what:"STR probe objective" (Problem.delta_objective d)
           (Problem.objective scratch);
         (* Reject path: context still evaluates the base exactly. *)
         Problem.abort_delta ctx d;
-        let again = Problem.eval_delta problem ctx ~cls:`H ~changes:[ (arc, v) ] in
+        let again = Problem.eval_delta problem ctx ~cls:`H ~changes in
         check_lex ~what:"STR probe after abort" (Problem.delta_objective again)
           (Problem.objective scratch);
         let committed = Problem.commit_delta problem ctx again in
         check_lex ~what:"STR committed objective" (Problem.objective committed)
           (Problem.objective scratch);
+        check_sla ~what:"STR commit" committed scratch;
         Alcotest.(check bool) "committed solution is STR" true
           (Problem.is_str committed);
+        check_arc_order ~what:"STR commit" problem ctx committed;
         sol := committed
       done;
       (* DTR context, both classes. *)
       let wh0 = Weights.random rng g and wl0 = Weights.random rng g in
       let sol = ref (Problem.eval_dtr problem ~wh:wh0 ~wl:wl0) in
       let ctx = Problem.ctx_of_solution problem !sol in
-      List.iter
-        (fun cls ->
+      List.iteri
+        (fun step cls ->
           let base =
             match cls with `H -> !sol.Problem.wh | `L -> !sol.Problem.wl
           in
-          let arc, v = random_change rng base in
-          let d = Problem.eval_delta problem ctx ~cls ~changes:[ (arc, v) ] in
-          let w' = Array.copy base in
-          w'.(arc) <- v;
+          let changes = random_changes rng ~step base in
+          let d = Problem.eval_delta problem ctx ~cls ~changes in
+          let w' = apply_changes base changes in
           let scratch =
             match cls with
             | `H -> Problem.eval_dtr problem ~wh:w' ~wl:!sol.Problem.wl
@@ -380,9 +422,16 @@ let problem_delta_matches seed =
           let committed = Problem.commit_delta problem ctx d in
           check_lex ~what:"DTR committed objective"
             (Problem.objective committed) (Problem.objective scratch);
+          check_sla ~what:"DTR commit" committed scratch;
+          check_arc_order ~what:"DTR commit" problem ctx committed;
           sol := committed)
-        [ `H; `L ])
-    [ Objective.Load; Objective.Sla Dtr_cost.Sla.default ];
+        [ `H; `L; `H; `L ])
+    [
+      (Objective.Load, Eval_ctx.All);
+      (Objective.Sla Dtr_cost.Sla.default, Eval_ctx.All);
+      (Objective.Load, Eval_ctx.Demand);
+      (Objective.Sla Dtr_cost.Sla.default, Eval_ctx.Demand);
+    ];
   true
 
 let test_problem_delta () =
@@ -391,21 +440,47 @@ let test_problem_delta () =
     QCheck.(int_range 0 10_000)
     problem_delta_matches
 
+(* Every eval_delta is one delta evaluation and no full one — under the
+   SLA model too, where a W_H change (DTR [`H], or any STR change) is
+   priced by re-walking Λ over the probe's rows. *)
 let test_problem_counters () =
   let g = random_graph 7 in
   let rng = Prng.create 31 in
   let th, tl = random_matrices rng g in
-  let problem = Problem.create ~graph:g ~th ~tl ~model:Objective.Load in
-  Problem.reset_evaluations ();
-  let w = Weights.random rng g in
-  let sol = Problem.eval_str problem ~w in
-  let ctx = Problem.ctx_of_solution problem sol in
-  let arc, v = random_change rng sol.Problem.wh in
-  let d = Problem.eval_delta problem ctx ~cls:`H ~changes:[ (arc, v) ] in
-  ignore (Problem.commit_delta problem ctx d);
-  Alcotest.(check int) "full evaluations" 1 (Problem.full_evaluations ());
-  Alcotest.(check int) "delta evaluations" 1 (Problem.delta_evaluations ());
-  Alcotest.(check int) "total evaluations" 2 (Problem.evaluations ());
+  List.iter
+    (fun model ->
+      let problem = Problem.create ~graph:g ~th ~tl ~model in
+      let name = Objective.model_name model in
+      let probe_counts what ctx ~cls w =
+        let full0 = Problem.full_evaluations ()
+        and delta0 = Problem.delta_evaluations () in
+        let d =
+          Problem.eval_delta problem ctx ~cls ~changes:[ random_change rng w ]
+        in
+        ignore (Problem.commit_delta problem ctx d);
+        Alcotest.(check int)
+          (Printf.sprintf "%s %s: full evaluations" name what)
+          0
+          (Problem.full_evaluations () - full0);
+        Alcotest.(check int)
+          (Printf.sprintf "%s %s: delta evaluations" name what)
+          1
+          (Problem.delta_evaluations () - delta0)
+      in
+      Problem.reset_evaluations ();
+      let w = Weights.random rng g in
+      let sol = Problem.eval_str problem ~w in
+      probe_counts "STR probe" (Problem.ctx_of_solution problem sol) ~cls:`H w;
+      let wh = Weights.random rng g and wl = Weights.random rng g in
+      let sol = Problem.eval_dtr problem ~wh ~wl in
+      probe_counts "H probe" (Problem.ctx_of_solution problem sol) ~cls:`H wh;
+      Alcotest.(check int) (name ^ ": full evaluations") 2
+        (Problem.full_evaluations ());
+      Alcotest.(check int) (name ^ ": delta evaluations") 2
+        (Problem.delta_evaluations ());
+      Alcotest.(check int) (name ^ ": total evaluations") 4
+        (Problem.evaluations ()))
+    [ Objective.Load; Objective.Sla Dtr_cost.Sla.default ];
   Problem.reset_evaluations ()
 
 let test_eval_ctx_stale_probe () =
@@ -420,7 +495,11 @@ let test_eval_ctx_stale_probe () =
   Eval_ctx.commit ctx p1;
   Alcotest.check_raises "stale probe rejected"
     (Invalid_argument "Eval_ctx.commit: stale probe (context has moved on)")
-    (fun () -> Eval_ctx.commit ctx p2)
+    (fun () -> Eval_ctx.commit ctx p2);
+  (* Its rows would mix the probe's and the moved context's state. *)
+  Alcotest.check_raises "stale probe rows rejected"
+    (Invalid_argument "Eval_ctx.probe_phi_row: stale probe")
+    (fun () -> ignore (Eval_ctx.probe_phi_row ctx p2 0))
 
 let () =
   Alcotest.run "delta"
