@@ -61,8 +61,7 @@ let preset_conv =
   Arg.conv (parse, print)
 
 (* optimize's --preset additionally accepts a large-topology preset
-   name (ts-1k .. pl-10k), which switches the command onto the
-   large-tier search path (Search_bench). *)
+   name (ts-1k .. pl-10k), which selects that preset's scenario. *)
 let opt_preset_conv =
   let parse s =
     match String.lowercase_ascii s with
@@ -111,12 +110,13 @@ let time_budget_arg =
     & opt (some float) None
     & info [ "time-budget" ] ~docv:"SECS"
         ~doc:
-          "Wall-clock budget in seconds: each search checks the clock \
-           once per iteration and winds down early when the budget is \
-           spent (at least one iteration always runs).  On a large \
-           preset each search gets its own budget; otherwise the \
-           budget covers the whole command.  Iteration counts under a \
-           binding budget are machine-dependent.")
+          "Wall-clock budget in seconds, granted to each search \
+           separately: STR and DTR (each with all its restarts) get \
+           the whole budget, measured from that search's start.  \
+           Searches check the clock once per iteration and wind down \
+           early when the budget is spent (at least one iteration \
+           always runs).  Iteration counts under a binding budget are \
+           machine-dependent.")
 
 let init_weights_arg =
   Arg.(
@@ -170,9 +170,19 @@ let trace_sample_arg =
            on the quick/default/paper presets; on a large preset \
            probes are off entirely unless this flag is given.")
 
-let with_trace_sample preset = function
-  | None -> preset
-  | Some n -> { preset with Dtr_core.Search_config.trace_sample = n }
+(* --trace-sample N opts probe events in at one in N.  Without it,
+   probes are traced in full on the dense budgets and not at all on a
+   large preset, where per-probe traces run to multi-GB files. *)
+let with_trace_sample cfg ~large = function
+  | Some n ->
+      {
+        cfg with
+        Dtr_core.Search_config.trace_probes = true;
+        trace_sample = n;
+      }
+  | None ->
+      if large then { cfg with Dtr_core.Search_config.trace_probes = false }
+      else cfg
 
 (* Machine-readable rendering of the report tables: title, columns and
    rows verbatim.  OCaml's %S escaping is JSON-compatible for the
@@ -291,7 +301,8 @@ let topology_arg =
   Arg.(
     value
     & opt topology_conv Scenario.Random_topo
-    & info [ "topology" ] ~docv:"KIND" ~doc:"Topology: random, power-law, isp, waxman, transit-stub.")
+    & info [ "topology" ] ~docv:"KIND"
+        ~doc:"Topology: random, power-law, isp, waxman, transit-stub, abilene.")
 
 let model_arg =
   Arg.(
@@ -363,9 +374,9 @@ let topo_cmd =
 (* ------------------------------------------------------------------ *)
 (* optimize                                                           *)
 
-(* --metrics FILE, shared by both optimize paths: [start_metrics]
-   before the searches, [write_metrics] after them writes FILE
-   (Prometheus text), FILE.json and FILE.manifest.json. *)
+(* --metrics FILE: [start_metrics] before the searches, [write_metrics]
+   after them writes FILE (Prometheus text), FILE.json and
+   FILE.manifest.json. *)
 let start_metrics metrics_file =
   if metrics_file <> None then begin
     Dtr_util.Metrics.set_enabled true;
@@ -376,302 +387,145 @@ let write_metrics metrics_file ~manifest =
   match metrics_file with
   | None -> ()
   | Some path ->
-      let put p s =
-        let oc = open_out p in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> output_string oc s)
-      in
-      put path (Dtr_util.Metrics.to_prometheus ());
-      put (path ^ ".json") (Dtr_util.Metrics.to_json ());
+      write_file path (Dtr_util.Metrics.to_prometheus ());
+      write_file (path ^ ".json") (Dtr_util.Metrics.to_json ());
       Dtr_core.Manifest.write ~path:(path ^ ".manifest.json") (manifest ());
       Printf.printf "metrics written to %s (+.json, +.manifest.json)\n" path
 
-(* Large-preset path: one STR + DTR search-bench run on the 1k-10k
-   tier.  Outcome lines (objectives, improvements, evaluations, memo
-   counters) go to stdout — deterministic in (preset, seed, config)
-   whenever no wall-clock budget binds, so CI can diff stdout across
-   --scan-jobs values; progress and the timing table go to stderr. *)
-let optimize_large p ~model ~fraction ~density ~util ~seed ~restarts
-    ~scan_jobs ~robust ~alpha ~top_k ~time_budget ~search_iters ~init_weights
-    ~save_weights ~trace_file ~trace_no_time ~metrics_file ~trace_sample =
-  let module Search_bench = Dtr_experiments.Search_bench in
-  let module Trace = Dtr_core.Trace in
-  if restarts > 1 then
-    failwith "--restarts > 1 is not supported on large presets";
-  if save_weights <> None then
-    failwith "--save-weights is not supported on large presets";
-  let cfg = with_scan_jobs Dtr_core.Search_config.quick scan_jobs in
-  let cfg = with_robust cfg robust ~alpha ~top_k in
-  (* Large-tier traces with per-probe events run to multi-GB files;
-     probes default off here and --trace-sample N opts back in (at one
-     probe in N). *)
-  let cfg =
-    {
-      cfg with
-      Dtr_core.Search_config.trace_probes = trace_sample <> None;
-      trace_sample = (match trace_sample with Some n -> n | None -> 1);
-    }
-  in
-  let cfg, str_iters =
-    match search_iters with
-    | None -> (cfg, None)
-    | Some n ->
-        ( { cfg with Dtr_core.Search_config.n_iters = n; k_iters = n },
-          Some n )
-  in
-  let w0 = load_init_weights init_weights in
-  start_metrics metrics_file;
-  Printf.printf
-    "scenario: %s preset, %s cost, f=%.0f%%, k=%.0f%%, target util %.2f\n%!"
-    p.Dtr_topology.Large.name
-    (Objective.model_name model)
-    (fraction *. 100.) (density *. 100.) util;
-  let trace_oc = Option.map open_out trace_file in
-  let trace =
-    match trace_oc with
-    | Some oc -> Trace.jsonl ~timestamps:(not trace_no_time) oc
-    | None -> Trace.disabled
-  in
-  let rows =
-    Search_bench.run ~cfg ~seed ?time_budget ?str_iters ?w0 ~fraction ~density
-      ~util
-      ~progress:(fun s -> Printf.eprintf "%s\n%!" s)
-      ~trace ~model p
-  in
-  let manifest () =
-    Dtr_core.Manifest.to_json ~seed ~restarts
-      ~model:(Objective.model_name model)
-      ~topology:p.Dtr_topology.Large.name ~config:cfg ()
-  in
-  (match trace_file with
-  | None -> ()
-  | Some path ->
-      Option.iter close_out trace_oc;
-      Dtr_core.Manifest.write ~path:(path ^ ".manifest.json") (manifest ());
-      Printf.printf "trace written to %s\n" path);
-  write_metrics metrics_file ~manifest;
-  List.iter
-    (fun (r : Search_bench.row) ->
-      Printf.printf
-        "%-4s objective: primary=%.6g secondary=%.6g (%d improvements, %d \
-         iterations, %d evaluations)\n"
-        (String.uppercase_ascii r.Search_bench.algo)
-        r.Search_bench.objective.Lexico.primary
-        r.Search_bench.objective.Lexico.secondary r.Search_bench.improvements
-        r.Search_bench.iterations r.Search_bench.evaluations;
-      Printf.printf "%-4s memo: %d hits / %d misses\n"
-        (String.uppercase_ascii r.Search_bench.algo)
-        r.Search_bench.memo_hits r.Search_bench.memo_misses)
-    rows;
-  Printf.eprintf "%s%!"
-    (Dtr_util.Table.to_string (Search_bench.table rows))
-
+(* Every optimize run is one Compare.run_point: the scenario (a large
+   preset only swaps in its 1k-10k-node PoP-demand topology), then STR
+   and DTR through Multistart.  Stdout is deterministic in the
+   arguments whenever no --time-budget binds, and byte-identical for
+   every --jobs and --scan-jobs value. *)
 let optimize_cmd =
   let run topology model fraction density util preset seed restarts jobs
       scan_jobs robust alpha top_k time_budget search_iters init_weights
       save_weights trace_file trace_no_time metrics_file trace_sample =
-    match preset with
-    | `Large p ->
-        optimize_large p ~model ~fraction ~density ~util ~seed ~restarts
-          ~scan_jobs ~robust ~alpha ~top_k ~time_budget ~search_iters
-          ~init_weights ~save_weights ~trace_file ~trace_no_time ~metrics_file
-          ~trace_sample
-    | `Budget preset ->
     let module Trace = Dtr_core.Trace in
-    let preset = with_scan_jobs preset scan_jobs in
-    let preset = with_robust preset robust ~alpha ~top_k in
-    let preset = with_trace_sample preset trace_sample in
+    let module Multistart = Dtr_core.Multistart in
+    let module Compare = Dtr_experiments.Compare in
+    if restarts < 1 then failwith "--restarts must be >= 1";
+    let topology, cfg, large =
+      match preset with
+      | `Budget cfg -> (topology, cfg, false)
+      | `Large p -> (Scenario.Large p, Dtr_core.Search_config.quick, true)
+    in
+    let cfg = with_scan_jobs cfg scan_jobs in
+    let cfg = with_robust cfg robust ~alpha ~top_k in
+    let cfg = with_trace_sample cfg ~large trace_sample in
+    let cfg =
+      match search_iters with
+      | None -> cfg
+      | Some n -> { cfg with Dtr_core.Search_config.n_iters = n; k_iters = n }
+    in
     let w0 = load_init_weights init_weights in
-    let t_start = Unix.gettimeofday () in
+    (* Each algorithm's search gets the whole budget, measured from its
+       own start. *)
     let stop =
       Option.map
-        (fun b () -> Unix.gettimeofday () -. t_start > b)
+        (fun b _algo ->
+          let t0 = Unix.gettimeofday () in
+          fun () -> Unix.gettimeofday () -. t0 > b)
         time_budget
     in
-    if restarts > 1 && (w0 <> None || stop <> None) then
-      failwith "--init-weights/--time-budget require --restarts 1";
-    if search_iters <> None then
-      failwith "--search-iters is only supported on large presets";
     start_metrics metrics_file;
-    let spec = make_spec topology fraction density seed in
-    let inst = Scenario.make spec in
+    let inst = Scenario.make (make_spec topology fraction density seed) in
     (* One provenance record shared by every artifact of this run. *)
     let manifest () =
       Dtr_core.Manifest.to_json ~seed ~jobs ~restarts
         ~model:(Objective.model_name model)
         ~topology:(Scenario.topology_name topology)
-        ~config:preset ~graph:inst.Scenario.graph ()
+        ~config:cfg ~graph:inst.Scenario.graph ()
     in
-    let write_artifacts () =
-      write_metrics metrics_file ~manifest;
-      match trace_file with
-      | None -> ()
-      | Some path ->
-          Dtr_core.Manifest.write ~path:(path ^ ".manifest.json") (manifest ())
-    in
-    Printf.printf "scenario: %s topology, %s cost, f=%.0f%%, k=%.0f%%, target util %.2f\n%!"
+    Printf.printf
+      "scenario: %s topology, %s cost, f=%.0f%%, k=%.0f%%, target util %.2f\n%!"
       (Scenario.topology_name topology)
       (Objective.model_name model)
       (fraction *. 100.) (density *. 100.) util;
-    let save_dtr sol =
-      match save_weights with
-      | None -> ()
-      | Some path ->
-          Dtr_routing.Weights_io.save [| sol.Problem.wh; sol.Problem.wl |] path;
-          Printf.printf "DTR weight pair saved to %s\n" path
-    in
-    (* One JSONL writer shared by both searches plus per-search rings
-       for the convergence summaries printed at the end. *)
+    (* One JSONL writer plus a ring kept for the convergence tables. *)
     let trace_oc = Option.map open_out trace_file in
-    let jsonl =
+    let ring =
+      match trace_oc with Some _ -> Trace.ring () | None -> Trace.disabled
+    in
+    let trace =
       match trace_oc with
-      | Some oc -> Trace.jsonl ~timestamps:(not trace_no_time) oc
+      | Some oc -> Trace.tee (Trace.jsonl ~timestamps:(not trace_no_time) oc) ring
       | None -> Trace.disabled
     in
-    let str_ring =
-      match trace_oc with Some _ -> Trace.ring () | None -> Trace.disabled
+    let point =
+      Dtr_util.Pool.with_pool ~jobs @@ fun pool ->
+      Compare.run_point ~cfg ~seed ~trace ~pool ~restarts ?iters:search_iters
+        ?stop ?w0 inst ~model ~target_util:util
     in
-    let dtr_ring =
-      match trace_oc with Some _ -> Trace.ring () | None -> Trace.disabled
+    let str = point.Compare.str and dtr = point.Compare.dtr in
+    let totals (r : Multistart.report) f =
+      Array.fold_left (fun acc x -> acc + f x) 0 r.Multistart.restarts
     in
-    let print_convergence ~str_evs ~dtr_evs =
-      match trace_file with
-      | None -> ()
-      | Some path ->
-          Option.iter close_out trace_oc;
-          let curve name evs =
-            let c = Trace.convergence evs in
+    List.iter
+      (fun (name, (r : Multistart.report)) ->
+        let o = r.Multistart.objective in
+        Printf.printf
+          "%-4s objective: primary=%.6g secondary=%.6g (%d improvements, %d \
+           iterations, %d evaluations)\n"
+          name o.Lexico.primary o.Lexico.secondary
+          (totals r (fun x -> x.Multistart.improvements))
+          (totals r (fun x -> x.Multistart.iterations))
+          r.Multistart.evaluations;
+        if restarts > 1 then
+          Printf.printf "%-4s restarts: best of %d is #%d\n" name restarts
+            r.Multistart.best_index)
+      [ ("STR", str); ("DTR", dtr) ];
+    (match cfg.Dtr_core.Search_config.robust with
+    | None -> ()
+    | Some rb ->
+        (* In robust mode the reported objective is J; show the
+           normal-cost share so the penalty is visible. *)
+        List.iter
+          (fun (name, (r : Multistart.report)) ->
+            Printf.printf
+              "%-4s robust: J primary=%.6g (normal %.6g, alpha=%g, top-k=%d)\n"
+              name r.Multistart.objective.Lexico.primary
+              (Problem.objective r.Multistart.best).Lexico.primary
+              rb.Dtr_core.Search_config.alpha rb.Dtr_core.Search_config.top_k)
+          [ ("STR", str); ("DTR", dtr) ]);
+    List.iter
+      (fun (name, r) ->
+        Printf.printf "%-4s memo: %d hits / %d misses\n" name
+          (totals r (fun x -> x.Multistart.memo_hits))
+          (totals r (fun x -> x.Multistart.memo_misses)))
+      [ ("STR", str); ("DTR", dtr) ];
+    Printf.printf "measured avg utilization: %.3f\n" point.Compare.measured_util;
+    Printf.printf "H-cost ratio RH = %.3f\nL-cost ratio RL = %.3f\n"
+      point.Compare.rh point.Compare.rl;
+    (match trace_file with
+    | None -> ()
+    | Some path ->
+        Option.iter close_out trace_oc;
+        (* STR's restart segments come first, then DTR's. *)
+        let segs = Trace.segments (Trace.events ring) in
+        let str_evs = List.concat (List.filteri (fun i _ -> i < restarts) segs)
+        and dtr_evs =
+          List.concat (List.filteri (fun i _ -> i >= restarts) segs)
+        in
+        List.iter
+          (fun (name, evs) ->
             print_endline
               (Dtr_util.Table.to_string
                  (Dtr_routing.Report.convergence_table
                     ~title:
                       (Printf.sprintf
                          "%s convergence (best objective vs. evaluations)" name)
-                    c))
-          in
-          curve "STR" str_evs;
-          curve "DTR" dtr_evs;
-          Printf.printf "trace written to %s\n" path
-    in
-    if restarts <= 1 then begin
-      (* Compare.run_point tags STR events restart = 0 and DTR events
-         restart = 1; one shared ring is split for the summaries. *)
-      let ring =
-        match trace_oc with Some _ -> Trace.ring () | None -> Trace.disabled
-      in
-      let trace =
-        match trace_oc with
-        | Some _ -> Trace.tee jsonl ring
-        | None -> Trace.disabled
-      in
-      let point =
-        Dtr_experiments.Compare.run_point ~cfg:preset ~seed ~trace ?stop ?w0
-          inst ~model ~target_util:util
-      in
-      let pr name (o : Lexico.t) =
-        Printf.printf "%-4s objective: primary=%.6g secondary=%.6g\n" name
-          o.Lexico.primary o.Lexico.secondary
-      in
-      pr "STR" point.Dtr_experiments.Compare.str.Dtr_core.Str_search.objective;
-      pr "DTR" point.Dtr_experiments.Compare.dtr.Dtr_core.Dtr_search.objective;
-      (match preset.Dtr_core.Search_config.robust with
-      | None -> ()
-      | Some r ->
-          (* In robust mode the reported objective is J; show the
-             normal-cost share so the penalty is visible. *)
-          let prj name (best : Problem.solution) (j : Lexico.t) =
-            let n = Problem.objective best in
-            Printf.printf
-              "%-4s robust: J primary=%.6g (normal %.6g, alpha=%g, top-k=%d)\n"
-              name j.Lexico.primary n.Lexico.primary
-              r.Dtr_core.Search_config.alpha r.Dtr_core.Search_config.top_k
-          in
-          prj "STR" point.Dtr_experiments.Compare.str.Dtr_core.Str_search.best
-            point.Dtr_experiments.Compare.str.Dtr_core.Str_search.objective;
-          prj "DTR" point.Dtr_experiments.Compare.dtr.Dtr_core.Dtr_search.best
-            point.Dtr_experiments.Compare.dtr.Dtr_core.Dtr_search.objective);
-      let prm name ~hits ~misses =
-        Printf.printf "%-4s memo: %d hits / %d misses\n" name hits misses
-      in
-      prm "STR"
-        ~hits:point.Dtr_experiments.Compare.str.Dtr_core.Str_search.memo_hits
-        ~misses:point.Dtr_experiments.Compare.str.Dtr_core.Str_search.memo_misses;
-      prm "DTR"
-        ~hits:point.Dtr_experiments.Compare.dtr.Dtr_core.Dtr_search.memo_hits
-        ~misses:point.Dtr_experiments.Compare.dtr.Dtr_core.Dtr_search.memo_misses;
-      Printf.printf "measured avg utilization: %.3f\n"
-        point.Dtr_experiments.Compare.measured_util;
-      Printf.printf "H-cost ratio RH = %.3f\nL-cost ratio RL = %.3f\n"
-        point.Dtr_experiments.Compare.rh point.Dtr_experiments.Compare.rl;
-      let evs = Trace.events ring in
-      print_convergence
-        ~str_evs:
-          (List.filter (fun (e : Trace.event) -> e.Trace.restart = 0) evs)
-        ~dtr_evs:
-          (List.filter (fun (e : Trace.event) -> e.Trace.restart = 1) evs);
-      save_dtr point.Dtr_experiments.Compare.dtr.Dtr_core.Dtr_search.best;
-      write_artifacts ()
-    end
-    else begin
-      (* Multi-start: same PRNG derivation as Compare.run_point, with
-         each search's stream feeding a Multistart driver instead of a
-         single run.  Output is bit-identical for every --jobs. *)
-      let module Multistart = Dtr_core.Multistart in
-      let inst = Scenario.scale_to_utilization inst ~target:util in
-      let problem = Scenario.problem inst ~model in
-      let root =
-        Dtr_util.Prng.create (seed + (inst.Scenario.spec.Scenario.seed * 7919))
-      in
-      let str_rng = Dtr_util.Prng.split root in
-      let dtr_rng = Dtr_util.Prng.split root in
-      Dtr_util.Pool.with_pool ~jobs @@ fun pool ->
-      let ms algo ring rng =
-        let trace =
-          match trace_oc with
-          | Some _ -> Trace.tee jsonl ring
-          | None -> Trace.disabled
-        in
-        Multistart.run ~pool ~restarts ~algo ~trace rng preset problem
-      in
-      let str = ms Multistart.Str str_ring str_rng in
-      let dtr = ms Multistart.Dtr dtr_ring dtr_rng in
-      let pr name (r : Multistart.report) =
-        Printf.printf
-          "%-4s objective: primary=%.6g secondary=%.6g (best of %d restarts: #%d, %d evaluations)\n"
-          name r.Multistart.objective.Lexico.primary
-          r.Multistart.objective.Lexico.secondary restarts r.Multistart.best_index
-          r.Multistart.evaluations
-      in
-      pr "STR" str;
-      pr "DTR" dtr;
-      (match preset.Dtr_core.Search_config.robust with
-      | None -> ()
-      | Some r ->
-          let prj name (ms : Multistart.report) =
-            let n = Problem.objective ms.Multistart.best in
-            Printf.printf
-              "%-4s robust: J primary=%.6g (normal %.6g, alpha=%g, top-k=%d)\n"
-              name ms.Multistart.objective.Lexico.primary n.Lexico.primary
-              r.Dtr_core.Search_config.alpha r.Dtr_core.Search_config.top_k
-          in
-          prj "STR" str;
-          prj "DTR" dtr);
-      Printf.printf "measured avg utilization: %.3f\n"
-        (Dtr_routing.Evaluate.avg_utilization
-           str.Multistart.best.Problem.result.Objective.eval);
-      Printf.printf "H-cost ratio RH = %.3f\nL-cost ratio RL = %.3f\n"
-        (Dtr_experiments.Compare.ratio
-           ~num:str.Multistart.objective.Lexico.primary
-           ~den:dtr.Multistart.objective.Lexico.primary)
-        (Dtr_experiments.Compare.ratio
-           ~num:str.Multistart.objective.Lexico.secondary
-           ~den:dtr.Multistart.objective.Lexico.secondary);
-      print_convergence ~str_evs:(Trace.events str_ring)
-        ~dtr_evs:(Trace.events dtr_ring);
-      save_dtr dtr.Multistart.best;
-      write_artifacts ()
-    end
+                    (Trace.convergence evs))))
+          [ ("STR", str_evs); ("DTR", dtr_evs) ];
+        Dtr_core.Manifest.write ~path:(path ^ ".manifest.json") (manifest ());
+        Printf.printf "trace written to %s\n" path);
+    (match save_weights with
+    | None -> ()
+    | Some path ->
+        let best = dtr.Multistart.best in
+        Dtr_routing.Weights_io.save [| best.Problem.wh; best.Problem.wl |] path;
+        Printf.printf "DTR weight pair saved to %s\n" path);
+    write_metrics metrics_file ~manifest
   in
   let restarts_arg =
     Arg.(
@@ -680,8 +534,10 @@ let optimize_cmd =
       & info [ "restarts" ] ~docv:"N"
           ~doc:
             "Independent search restarts per algorithm; the best \
-             solution wins.  With N > 1 the restarts run on the --jobs \
-             domain pool.")
+             solution wins.  Restart 0 is exactly the single run (same \
+             stream, same start weights), so more restarts never give \
+             a worse result; the others start from random weights.  \
+             The restarts run on the --jobs domain pool.")
   in
   let save_arg =
     Arg.(
@@ -732,11 +588,11 @@ let optimize_cmd =
           ~doc:
             "Search budget (quick, default, paper) or a large-topology \
              preset (ts-1k, ts-5k, ts-10k, pl-1k, pl-5k, pl-10k).  A \
-             large preset replaces --topology with a 1k-10k-node \
-             PoP-demand scenario, runs the searches through the \
-             search-bench path (quick budget unless capped by \
-             --search-iters or --time-budget), and prints deterministic \
-             outcome lines on stdout with timings on stderr.")
+             large preset replaces --topology with its 1k-10k-node \
+             PoP-demand scenario, starts the searches from seeded \
+             random weights, uses the quick budget, and traces no \
+             probe events unless --trace-sample is given; everything \
+             else is the same run.")
   in
   let search_iters_arg =
     Arg.(
@@ -744,12 +600,10 @@ let optimize_cmd =
       & opt (some int) None
       & info [ "search-iters" ] ~docv:"N"
           ~doc:
-            "On a large preset: cap every search loop at N iterations \
-             (STR's value-scan count and DTR's three routines alike).  \
-             Without a --time-budget this makes the whole run — and \
-             its stdout — deterministic, which is what the CI \
-             scan-jobs invariance check diffs.  Rejected on the \
-             dense-topology path.")
+            "Cap every search loop at N iterations (STR's value-scan \
+             count and DTR's three routines alike), overriding the \
+             preset's budget.  Mostly for the large presets, whose \
+             default STR iteration count grows with the arc count.")
   in
   Cmd.v
     (Cmd.info "optimize" ~doc:"Run the STR and DTR weight searches on one scenario")
@@ -1368,10 +1222,7 @@ let bench_cmd =
       match json_out with
       | None -> ()
       | Some path ->
-          let oc = open_out path in
-          Fun.protect
-            ~finally:(fun () -> close_out oc)
-            (fun () -> output_string oc (to_json ()));
+          write_file path (to_json ());
           Printf.printf "wrote %s\n" path
     in
     if search then begin

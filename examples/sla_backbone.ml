@@ -41,9 +41,9 @@ let () =
           name s.Evaluate.violations s.Evaluate.worst_delay
           (Problem.objective sol).Lexico.secondary
   in
-  describe "STR" point.Dtr_experiments.Compare.str.Dtr_core.Str_search.best;
-  describe "DTR" point.Dtr_experiments.Compare.dtr.Dtr_core.Dtr_search.best;
-  let dtr_sol = point.Dtr_experiments.Compare.dtr.Dtr_core.Dtr_search.best in
+  describe "STR" point.Dtr_experiments.Compare.str.Dtr_core.Multistart.best;
+  describe "DTR" point.Dtr_experiments.Compare.dtr.Dtr_core.Multistart.best;
+  let dtr_sol = point.Dtr_experiments.Compare.dtr.Dtr_core.Multistart.best in
   (match dtr_sol.Problem.result.Objective.sla with
   | None -> ()
   | Some s ->

@@ -95,9 +95,9 @@ type phase = {
   p_best : float array;
 }
 
-(* Which search family produced the trace, inferred from the event
-   kinds present; phase ordinals mean different things per family. *)
-type flavor = Dtr | Mtr of int | Anneal | Other
+(* Which search produced a segment, inferred from the event kinds
+   present; phase ordinals mean different things per family. *)
+type flavor = Str | Dtr | Mtr of int | Anneal | Other
 
 let flavor evs =
   let has k = List.exists (fun (e : Trace.event) -> e.Trace.kind = k) evs in
@@ -115,7 +115,15 @@ let flavor evs =
     Mtr dmax
   end
   else if has Trace.Anneal_step then Anneal
+  else if has Trace.Str_scan then Str
   else Other
+
+let flavor_name = function
+  | Str -> "str"
+  | Dtr -> "dtr"
+  | Mtr _ -> "mtr"
+  | Anneal -> "anneal"
+  | Other -> "-"
 
 let phase_label fl detail =
   match fl with
@@ -129,74 +137,64 @@ let phase_label fl detail =
       if detail = classes then "joint refine"
       else Printf.sprintf "class %d" detail
   | Anneal -> Printf.sprintf "anneal phase %d" detail
-  | Other -> Printf.sprintf "phase %d" detail
+  | Str | Other -> Printf.sprintf "phase %d" detail
 
 let phases t =
-  let fl = flavor t.events in
   let acc = ref [] in
-  let cur_restart = ref min_int in
-  let moves = ref 0
-  and accepted = ref 0
-  and probes = ref 0
-  and memo_probes = ref 0
-  and diversify = ref 0 in
-  let base_evals = ref 0
-  and base_hits = ref 0
-  and base_misses = ref 0
-  and base_us = ref 0. in
-  let reset_segment () =
-    moves := 0;
-    accepted := 0;
-    probes := 0;
-    memo_probes := 0;
-    diversify := 0
-  in
+  (* Counters are cumulative within a search-run segment, so the
+     baselines restart from zero at every segment boundary. *)
   List.iter
-    (fun (e : Trace.event) ->
-      (* Restarts are serialized contiguously (Multistart replays the
-         per-restart rings in index order), so counter baselines reset
-         exactly at restart boundaries. *)
-      if e.Trace.restart <> !cur_restart then begin
-        cur_restart := e.Trace.restart;
-        reset_segment ();
-        base_evals := 0;
-        base_hits := 0;
-        base_misses := 0;
-        base_us := 0.
-      end;
-      match e.Trace.kind with
-      | Trace.Probe ->
-          incr probes;
-          if e.Trace.accepted then incr memo_probes
-      | Trace.Diversify -> incr diversify
-      | Trace.Str_scan | Trace.Find_h | Trace.Find_l | Trace.Mtr_pass
-      | Trace.Anneal_step | Trace.Robust_sweep ->
-          incr moves;
-          if e.Trace.accepted then incr accepted
-      | Trace.Restart_done -> ()
-      | Trace.Phase_done ->
-          acc :=
-            {
-              p_restart = e.Trace.restart;
-              p_label = phase_label fl e.Trace.detail;
-              p_moves = !moves;
-              p_accepted = !accepted;
-              p_probes = !probes;
-              p_memo_probes = !memo_probes;
-              p_diversify = !diversify;
-              p_evaluations = e.Trace.evaluations - !base_evals;
-              p_memo_hits = e.Trace.memo_hits - !base_hits;
-              p_memo_misses = e.Trace.memo_misses - !base_misses;
-              p_wall_us = e.Trace.time_us -. !base_us;
-              p_best = e.Trace.best;
-            }
-            :: !acc;
-          base_evals := e.Trace.evaluations;
-          base_hits := e.Trace.memo_hits;
-          base_misses := e.Trace.memo_misses;
-          base_us := e.Trace.time_us;
-          reset_segment ())
-    t.events;
+    (fun seg ->
+      let fl = flavor seg in
+      let moves = ref 0
+      and accepted = ref 0
+      and probes = ref 0
+      and memo_probes = ref 0
+      and diversify = ref 0 in
+      let base_evals = ref 0
+      and base_hits = ref 0
+      and base_misses = ref 0
+      and base_us = ref 0. in
+      List.iter
+        (fun (e : Trace.event) ->
+          match e.Trace.kind with
+          | Trace.Probe ->
+              incr probes;
+              if e.Trace.accepted then incr memo_probes
+          | Trace.Diversify -> incr diversify
+          | Trace.Str_scan | Trace.Find_h | Trace.Find_l | Trace.Mtr_pass
+          | Trace.Anneal_step | Trace.Robust_sweep ->
+              incr moves;
+              if e.Trace.accepted then incr accepted
+          | Trace.Restart_done -> ()
+          | Trace.Phase_done ->
+              acc :=
+                {
+                  p_restart = e.Trace.restart;
+                  p_label = phase_label fl e.Trace.detail;
+                  p_moves = !moves;
+                  p_accepted = !accepted;
+                  p_probes = !probes;
+                  p_memo_probes = !memo_probes;
+                  p_diversify = !diversify;
+                  p_evaluations = e.Trace.evaluations - !base_evals;
+                  p_memo_hits = e.Trace.memo_hits - !base_hits;
+                  p_memo_misses = e.Trace.memo_misses - !base_misses;
+                  p_wall_us = e.Trace.time_us -. !base_us;
+                  p_best = e.Trace.best;
+                }
+                :: !acc;
+              base_evals := e.Trace.evaluations;
+              base_hits := e.Trace.memo_hits;
+              base_misses := e.Trace.memo_misses;
+              base_us := e.Trace.time_us;
+              moves := 0;
+              accepted := 0;
+              probes := 0;
+              memo_probes := 0;
+              diversify := 0)
+        seg)
+    (Trace.segments t.events);
   List.rev !acc
 
 type totals = {
@@ -227,6 +225,10 @@ let vec_lt a b =
   in
   go 0
 
+(* A counter's total over a segment: the counters are cumulative, so
+   its maximum. *)
+let seg_max f seg = List.fold_left (fun acc e -> max acc (f e)) 0 seg
+
 let totals t =
   let events = ref 0
   and probes = ref 0
@@ -235,46 +237,11 @@ let totals t =
   and accepted = ref 0
   and diversify = ref 0
   and restarts = ref 0 in
-  (* Per-restart-segment counters are cumulative; sum the per-segment
-     maxima across segments (the trace serializes restarts, so a
-     segment ends exactly when the restart id changes). *)
-  let segment = ref min_int in
-  let seg_evals = ref 0
-  and seg_full = ref 0
-  and seg_delta = ref 0
-  and seg_hits = ref 0
-  and seg_misses = ref 0 in
-  let evals = ref 0
-  and full = ref 0
-  and delta = ref 0
-  and hits = ref 0
-  and misses = ref 0 in
-  let close_segment () =
-    evals := !evals + !seg_evals;
-    full := !full + !seg_full;
-    delta := !delta + !seg_delta;
-    hits := !hits + !seg_hits;
-    misses := !misses + !seg_misses;
-    seg_evals := 0;
-    seg_full := 0;
-    seg_delta := 0;
-    seg_hits := 0;
-    seg_misses := 0
-  in
   let duration = ref 0. in
   let best = ref [||] in
   List.iter
     (fun (e : Trace.event) ->
       incr events;
-      if e.Trace.restart <> !segment then begin
-        if !segment <> min_int then close_segment ();
-        segment := e.Trace.restart
-      end;
-      seg_evals := max !seg_evals e.Trace.evaluations;
-      seg_full := max !seg_full e.Trace.full_evals;
-      seg_delta := max !seg_delta e.Trace.delta_evals;
-      seg_hits := max !seg_hits e.Trace.memo_hits;
-      seg_misses := max !seg_misses e.Trace.memo_misses;
       if e.Trace.time_us > !duration then duration := e.Trace.time_us;
       if
         Array.length e.Trace.best > 0
@@ -292,7 +259,9 @@ let totals t =
           incr moves;
           if e.Trace.accepted then incr accepted)
     t.events;
-  if !segment <> min_int then close_segment ();
+  (* Sum the per-segment totals of the cumulative counters. *)
+  let segs = Trace.segments t.events in
+  let sum f = List.fold_left (fun acc seg -> acc + seg_max f seg) 0 segs in
   {
     t_events = !events;
     t_probes = !probes;
@@ -301,11 +270,11 @@ let totals t =
     t_accepted = !accepted;
     t_diversify = !diversify;
     t_restarts = !restarts;
-    t_evaluations = !evals;
-    t_full = !full;
-    t_delta = !delta;
-    t_memo_hits = !hits;
-    t_memo_misses = !misses;
+    t_evaluations = sum (fun e -> e.Trace.evaluations);
+    t_full = sum (fun e -> e.Trace.full_evals);
+    t_delta = sum (fun e -> e.Trace.delta_evals);
+    t_memo_hits = sum (fun e -> e.Trace.memo_hits);
+    t_memo_misses = sum (fun e -> e.Trace.memo_misses);
     t_duration_us = !duration;
     t_best = !best;
   }
@@ -423,44 +392,46 @@ let phase_table t =
     (phases t);
   tbl
 
-let restart_rows t =
-  (* Evaluations spent by a restart: the per-segment maximum of its
-     cumulative counter (Restart_done itself carries none). *)
-  let seg_max = Hashtbl.create 8 in
-  List.iter
-    (fun (e : Trace.event) ->
-      let r = e.Trace.restart in
-      if r >= 0 then
-        let cur = try Hashtbl.find seg_max r with Not_found -> 0 in
-        if e.Trace.evaluations > cur then
-          Hashtbl.replace seg_max r e.Trace.evaluations)
-    t.events;
+type restart_row = {
+  r_algo : string;
+  r_index : int;
+  r_objective : float array;
+  r_improved : bool;
+  r_evaluations : int;
+}
+
+let restarts t =
   List.filter_map
-    (fun (e : Trace.event) ->
-      if e.Trace.kind = Trace.Restart_done then
-        Some
-          ( e.Trace.detail,
-            e.Trace.after,
-            e.Trace.accepted,
-            (try Hashtbl.find seg_max e.Trace.detail with Not_found -> 0) )
-      else None)
-    t.events
+    (fun seg ->
+      match List.rev seg with
+      | ({ Trace.kind = Trace.Restart_done; _ } as e) :: _ ->
+          Some
+            {
+              r_algo = flavor_name (flavor seg);
+              r_index = e.Trace.detail;
+              r_objective = e.Trace.after;
+              r_improved = e.Trace.accepted;
+              r_evaluations = seg_max (fun e -> e.Trace.evaluations) seg;
+            }
+      | _ -> None)
+    (Trace.segments t.events)
 
 let restart_table t =
   let tbl =
     Table.create ~title:"Restarts"
-      ~columns:[ "restart"; "objective"; "improved"; "evals" ]
+      ~columns:[ "algo"; "restart"; "objective"; "improved"; "evals" ]
   in
   List.iter
-    (fun (i, obj, improved, evals) ->
+    (fun r ->
       Table.add_row tbl
         [
-          string_of_int i;
-          vec_str obj;
-          (if improved then "yes" else "no");
-          string_of_int evals;
+          r.r_algo;
+          string_of_int r.r_index;
+          vec_str r.r_objective;
+          (if r.r_improved then "yes" else "no");
+          string_of_int r.r_evaluations;
         ])
-    (restart_rows t);
+    (restarts t);
   tbl
 
 let convergence_table t =
@@ -512,7 +483,7 @@ let to_markdown t =
   section "Summary" (summary_table t);
   section "Events by kind" (kind_table t);
   (match phases t with [] -> () | _ -> section "Phases" (phase_table t));
-  (match restart_rows t with
+  (match restarts t with
   | [] -> ()
   | _ -> section "Restarts" (restart_table t));
   section "Convergence" (convergence_table t);
@@ -574,14 +545,15 @@ let to_json t =
   Buffer.add_string b "]";
   Buffer.add_string b ",\n  \"restarts\": [";
   List.iteri
-    (fun i (r, obj, improved, evals) ->
+    (fun i r ->
       if i > 0 then Buffer.add_string b ", ";
       Buffer.add_string b
         (Printf.sprintf
-           "{\"restart\": %d, \"objective\": %s, \"improved\": %b, \
-            \"evaluations\": %d}"
-           r (json_vec obj) improved evals))
-    (restart_rows t);
+           "{\"algo\": %S, \"restart\": %d, \"objective\": %s, \
+            \"improved\": %b, \"evaluations\": %d}"
+           r.r_algo r.r_index (json_vec r.r_objective) r.r_improved
+           r.r_evaluations))
+    (restarts t);
   Buffer.add_string b "]";
   Buffer.add_string b ",\n  \"convergence\": [";
   List.iteri

@@ -32,7 +32,7 @@ val bad_lines : t -> int
 (** {1 Derived statistics} *)
 
 type phase = {
-  p_restart : int;  (** [-1] outside a multi-start *)
+  p_restart : int;  (** [-1] outside {!Multistart} *)
   p_label : string;
   p_moves : int;  (** iteration-level decision events in the phase *)
   p_accepted : int;
@@ -48,7 +48,8 @@ type phase = {
 
 val phases : t -> phase list
 (** One entry per [Phase_done] event, in trace order: the events since
-    the previous phase boundary of the same restart, with evaluation /
+    the previous phase boundary of the same segment
+    ({!Trace.segments}), with evaluation /
     memo counters and wall-clock differenced against that boundary.
     Phase labels are inferred from the event kinds present (DTR
     routine ordinals, MTR passes, annealing phases). *)
@@ -60,8 +61,8 @@ type totals = {
   t_moves : int;
   t_accepted : int;
   t_diversify : int;
-  t_restarts : int;  (** [Restart_done] events; 0 for a single run *)
-  t_evaluations : int;  (** summed across restart segments *)
+  t_restarts : int;  (** [Restart_done] events; 0 without {!Multistart} *)
+  t_evaluations : int;  (** summed across segments *)
   t_full : int;
   t_delta : int;
   t_memo_hits : int;
@@ -71,6 +72,23 @@ type totals = {
 }
 
 val totals : t -> totals
+
+type restart_row = {
+  r_algo : string;
+      (** the search that ran the segment, from its event kinds:
+          ["str"], ["dtr"], ["mtr"], ["anneal"], or ["-"] *)
+  r_index : int;  (** restart index within that search's {!Multistart.run} *)
+  r_objective : float array;
+  r_improved : bool;  (** improved on all lower indices of its run *)
+  r_evaluations : int;  (** evaluations the restart spent *)
+}
+
+val restarts : t -> restart_row list
+(** One row per (algorithm, restart) segment closed by a
+    [Restart_done] event ({!Trace.segments}), in trace order.  A
+    [dtr optimize] trace has STR's rows then DTR's, so each
+    algorithm's rows sum to that search's evaluation count.  Empty
+    for traces without restart markers. *)
 
 (** {1 Tables} *)
 
@@ -84,8 +102,7 @@ val phase_table : t -> Dtr_util.Table.t
     seconds per phase. *)
 
 val restart_table : t -> Dtr_util.Table.t
-(** One row per [Restart_done]: final objective, whether it improved
-    on all lower indices, evaluations spent.  Empty for single runs. *)
+(** {!restarts} rendered as a table. *)
 
 val convergence_table : t -> Dtr_util.Table.t
 (** Best-so-far improvements over cumulative evaluations

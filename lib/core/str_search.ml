@@ -320,9 +320,9 @@ let run ?w0 ?iters ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem
       List.sort (fun a b -> Float.compare a.phi_h b.phi_h) (!archive).pts;
   }
 
-let relaxed_best report ~epsilon =
+let relaxed_best archive ~epsilon =
   if epsilon < 0. then invalid_arg "Str_search.relaxed_best: negative epsilon";
-  match report.archive with
+  match archive with
   | [] -> None
   | archive ->
       let star_h =

@@ -62,8 +62,8 @@ val run :
     @raise Invalid_argument on an out-of-range or wrong-length [w0]
     ({!Dtr_routing.Weights.validate}). *)
 
-val relaxed_best : report -> epsilon:float -> archive_point option
-(** Best (lowest) [Φ_L] among archive points with
+val relaxed_best : archive_point list -> epsilon:float -> archive_point option
+(** Best (lowest) [Φ_L] among the archive's points with
     [Φ_H <= (1 + epsilon) ⋅ Φ*_H], where [Φ*_H] is the best
     high-priority cost the search found.  [None] when the archive is
     empty (SLA model) or nothing qualifies.

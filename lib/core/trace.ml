@@ -308,27 +308,41 @@ let vec_lt a b =
   in
   go 0
 
+let segments evs =
+  (* [cur] is the open segment, newest event first. *)
+  let close cur acc = match cur with [] -> acc | _ -> List.rev cur :: acc in
+  let rec go cur acc = function
+    | [] -> List.rev (close cur acc)
+    | e :: rest ->
+        let cur, acc =
+          match cur with
+          | prev :: _ when prev.restart <> e.restart -> ([], close cur acc)
+          | _ -> (cur, acc)
+        in
+        if e.kind = Restart_done then go [] (close (e :: cur) acc) rest
+        else go (e :: cur) acc rest
+  in
+  go [] [] evs
+
 let convergence evs =
   let acc = ref [] in
   let best = ref [||] in
   let base = ref 0 in
-  let segment = ref min_int in
-  let seg_last = ref 0 in
   List.iter
-    (fun e ->
-      if Array.length e.best > 0 then begin
-        (* Restart segments each count evaluations from zero; offset
-           them by the budget the previous segments spent. *)
-        if e.restart <> !segment then begin
-          if !segment <> min_int then base := !base + !seg_last;
-          segment := e.restart;
-          seg_last := 0
-        end;
-        if e.evaluations > !seg_last then seg_last := e.evaluations;
-        if Array.length !best = 0 || vec_lt e.best !best then begin
-          best := e.best;
-          acc := (!base + e.evaluations, e.best) :: !acc
-        end
-      end)
-    evs;
+    (fun seg ->
+      (* Each segment counts evaluations from zero; offset it by the
+         budget the previous segments spent. *)
+      let seg_last = ref 0 in
+      List.iter
+        (fun e ->
+          if Array.length e.best > 0 then begin
+            if e.evaluations > !seg_last then seg_last := e.evaluations;
+            if Array.length !best = 0 || vec_lt e.best !best then begin
+              best := e.best;
+              acc := (!base + e.evaluations, e.best) :: !acc
+            end
+          end)
+        seg;
+      base := !base + !seg_last)
+    (segments evs);
   List.rev !acc

@@ -163,10 +163,18 @@ val of_json : string -> (event, string) result
     (["%.17g"] ↔ [float_of_string]).  Errors name the offending field
     or carry the JSON parser's message. *)
 
+val segments : event list -> event list list
+(** Split a trace into its search-run segments, in order.  A segment
+    ends with its [Restart_done] event ({!Multistart} closes
+    every restart with one, so a {!Multistart.run} of STR followed by one of
+    DTR gives one segment per (algorithm, restart) even when both are
+    restart 0), or where the [restart] field changes.  Evaluation and
+    memo counters are cumulative within a segment. *)
+
 val convergence : event list -> (int * float array) list
 (** Best-so-far convergence curve: [(cumulative evaluations,
     objective)] points at which the running (exact lexicographic)
     minimum of the [best] field improved, in event order.  Events with
     an empty [best] (probes) are skipped.  Evaluations are accumulated
-    across restart segments, so the curve of a multi-start trace is
-    plotted against the total budget spent. *)
+    across {!segments}, so the curve of a multi-start trace is plotted
+    against the total budget spent. *)

@@ -27,11 +27,11 @@ let run ?cfg ?(seed = 23) ?(target_util = 0.6) panel =
   let point = Compare.run_point ?cfg inst ~model ~target_util in
   let str_util =
     Evaluate.utilization
-      point.Compare.str.Dtr_core.Str_search.best.Problem.result.Objective.eval
+      point.Compare.str.Dtr_core.Multistart.best.Problem.result.Objective.eval
   in
   let dtr_util =
     Evaluate.utilization
-      point.Compare.dtr.Dtr_core.Dtr_search.best.Problem.result.Objective.eval
+      point.Compare.dtr.Dtr_core.Multistart.best.Problem.result.Objective.eval
   in
   let hi =
     Float.max 1.5

@@ -34,8 +34,8 @@ let run ?cfg ?(seed = 53) ?(target_util = 0.5)
     (fun theta ->
       let model = Objective.Sla { Dtr_cost.Sla.default with theta } in
       let point = Compare.run_point ?cfg inst ~model ~target_util in
-      let str_sol = point.Compare.str.Dtr_core.Str_search.best in
-      let dtr_sol = point.Compare.dtr.Dtr_core.Dtr_search.best in
+      let str_sol = point.Compare.str.Dtr_core.Multistart.best in
+      let dtr_sol = point.Compare.dtr.Dtr_core.Multistart.best in
       let violations (sol : Problem.solution) =
         match sol.Problem.result.Objective.sla with
         | Some s -> s.Evaluate.violations

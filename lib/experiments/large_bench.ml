@@ -32,6 +32,7 @@ type row = {
   demand_pairs : int;
   gen_s : float;
   full_eval_s : float;
+  probe_ns_mean : float;
   probe_ns_p50 : float;
   probe_ns_p90 : float;
   probe_ns_p99 : float;
@@ -98,7 +99,7 @@ let run_preset ?(probes = default_probes) ~seed p =
         probe_once (20 + i);
         (Unix.gettimeofday () -. t) *. 1e9)
   in
-  let p50 = Stats.percentile samples 50. in
+  let total_ns = Array.fold_left ( +. ) 0. samples in
   {
     preset = p.Large.name;
     nodes = Graph.node_count g;
@@ -107,10 +108,14 @@ let run_preset ?(probes = default_probes) ~seed p =
     demand_pairs = count_pairs th + count_pairs tl;
     gen_s;
     full_eval_s;
-    probe_ns_p50 = p50;
+    probe_ns_mean = (if probes > 0 then total_ns /. float_of_int probes else 0.);
+    probe_ns_p50 = Stats.percentile samples 50.;
     probe_ns_p90 = Stats.percentile samples 90.;
     probe_ns_p99 = Stats.percentile samples 99.;
-    probe_evals_per_sec = (if p50 > 0. then 1e9 /. p50 else 0.);
+    (* Throughput is probes over the time they took — never derived
+       from a percentile: the probe latency is bimodal at this scale. *)
+    probe_evals_per_sec =
+      (if total_ns > 0. then float_of_int probes *. 1e9 /. total_ns else 0.);
     peak_rss_kb = Metrics.peak_rss_kb ();
   }
 
@@ -140,9 +145,10 @@ let run ?(probes = default_probes) ?(progress = fun _ -> ()) ~seed names =
       let row = run_preset ~probes ~seed p in
       progress
         (Printf.sprintf
-           "%s: full eval %.2f s, probe p50 %.2f ms, %.0f evals/s, peak RSS %d \
-            MB"
-           row.preset row.full_eval_s (row.probe_ns_p50 /. 1e6)
+           "%s: full eval %.2f s, probe mean %.2f ms, p50 %.2f ms, %.0f evals/s, \
+            peak RSS %d MB"
+           row.preset row.full_eval_s (row.probe_ns_mean /. 1e6)
+           (row.probe_ns_p50 /. 1e6)
            row.probe_evals_per_sec (row.peak_rss_kb / 1024));
       row)
     presets
@@ -153,7 +159,7 @@ let table rows =
       ~columns:
         [
           "preset"; "nodes"; "arcs"; "pops"; "pairs"; "gen s"; "eval s";
-          "probe p50 ms"; "p90 ms"; "p99 ms"; "evals/s"; "peak RSS MB";
+          "probe mean ms"; "p50 ms"; "p90 ms"; "p99 ms"; "evals/s"; "peak RSS MB";
         ]
   in
   List.iter
@@ -167,6 +173,7 @@ let table rows =
           string_of_int r.demand_pairs;
           Printf.sprintf "%.2f" r.gen_s;
           Printf.sprintf "%.2f" r.full_eval_s;
+          Printf.sprintf "%.3f" (r.probe_ns_mean /. 1e6);
           Printf.sprintf "%.3f" (r.probe_ns_p50 /. 1e6);
           Printf.sprintf "%.3f" (r.probe_ns_p90 /. 1e6);
           Printf.sprintf "%.3f" (r.probe_ns_p99 /. 1e6);
@@ -193,11 +200,12 @@ let to_json ~seed ~probes rows =
     Printf.sprintf
       "    { \"preset\": %S, \"nodes\": %d, \"arcs\": %d, \"pops\": %d,\n\
       \      \"demand_pairs\": %d, \"gen_s\": %.3f, \"full_eval_s\": %.3f,\n\
-      \      \"probe_ns_p50\": %.1f, \"probe_ns_p90\": %.1f, \
-       \"probe_ns_p99\": %.1f,\n\
+      \      \"probe_ns_mean\": %.1f, \"probe_ns_p50\": %.1f, \
+       \"probe_ns_p90\": %.1f, \"probe_ns_p99\": %.1f,\n\
       \      \"probe_evals_per_sec\": %.1f, \"peak_rss_kb\": %d }"
       r.preset r.nodes r.arcs r.pops r.demand_pairs r.gen_s r.full_eval_s
-      r.probe_ns_p50 r.probe_ns_p90 r.probe_ns_p99 r.probe_evals_per_sec
+      r.probe_ns_mean r.probe_ns_p50 r.probe_ns_p90 r.probe_ns_p99
+      r.probe_evals_per_sec
       r.peak_rss_kb
   in
   Printf.sprintf

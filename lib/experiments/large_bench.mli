@@ -19,10 +19,15 @@ type row = {
   demand_pairs : int;  (** positive entries across both class matrices *)
   gen_s : float;  (** topology + traffic + weights generation *)
   full_eval_s : float;  (** demand-mode [Eval_ctx.create]: SPF + loads + Φ *)
+  probe_ns_mean : float;  (** total probe time / probes *)
   probe_ns_p50 : float;
   probe_ns_p90 : float;
   probe_ns_p99 : float;
-  probe_evals_per_sec : float;  (** [1e9 / probe_ns_p50] *)
+  probe_evals_per_sec : float;
+      (** probes / total probe time, i.e. [1e9 / probe_ns_mean] — the
+          sustained rate.  Never derived from a percentile: at this
+          scale the latency is bimodal (screen-only probes vs. SPF
+          reruns), so [1e9 / p50] overstates it many times over. *)
   peak_rss_kb : int;
       (** process high-water mark after this row; per-row attribution
           holds because {!run} orders rows by ascending node count *)

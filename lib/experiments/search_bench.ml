@@ -1,24 +1,18 @@
-(* Large-tier search benchmark: run the STR and DTR weight searches on
-   one {!Dtr_topology.Large} preset under a wall-clock budget and
-   report search-throughput figures — time to first accepted
-   improvement and iterations per second — next to the search outcome.
+(* Large-tier search benchmark: one {!Compare.run_point} on a
+   {!Dtr_topology.Large} preset — the run [dtr optimize --preset P]
+   makes — metered per search: time to first accepted improvement and
+   iterations per second, next to the search outcome.
 
    Everything except the timing columns (ttfi_s, elapsed_s,
    iters_per_sec) is deterministic in (preset, seed, cfg, model) for a
    run that is never stopped; under a budget the iteration counts
-   depend on the machine, which is the point of the bench.  The PRNG
-   derivation matches {!Compare.run_point} (root from
-   [seed + spec.seed * 7919], STR stream split first), so an unstopped
-   run reproduces the comparison's trajectories exactly. *)
+   depend on the machine, which is the point of the bench. *)
 
-module Prng = Dtr_util.Prng
 module Lexico = Dtr_cost.Lexico
 module Graph = Dtr_graph.Graph
 module Large = Dtr_topology.Large
 module Problem = Dtr_core.Problem
-module Str_search = Dtr_core.Str_search
-module Dtr_search = Dtr_core.Dtr_search
-module Trace = Dtr_core.Trace
+module Multistart = Dtr_core.Multistart
 
 let rel_tol = 1e-9
 
@@ -41,135 +35,105 @@ type row = {
 
 let default_util = 0.6
 
-let spec ?(fraction = 0.30) ?(density = 0.10) ~seed p =
-  {
-    Scenario.topology = Scenario.Large p;
-    fraction;
-    hp = Scenario.Random_density density;
-    seed;
-  }
-
-(* Shared measurement scaffolding for one search run: iteration
-   counter, wall clock, budget-stop closure and first-improvement
-   detection against the starting objective. *)
+(* One search's meter: armed when the search starts (run_point's stop
+   hook), fed the best-so-far objective after every iteration. *)
 type meter = {
-  t0 : float;
-  iters : int ref;
-  ttfi : float option ref;
-  hit_budget : bool ref;
-  stop : (unit -> bool) option;
-  o0 : Lexico.t;
+  mutable t0 : float;
+  mutable history : (float * Lexico.t) list;  (** newest first *)
+  mutable hit_budget : bool;
 }
 
-let meter ?time_budget o0 =
-  let t0 = Unix.gettimeofday () in
-  let hit_budget = ref false in
-  let stop =
-    match time_budget with
-    | None -> None
-    | Some b ->
-        Some
-          (fun () ->
-            let over = Unix.gettimeofday () -. t0 > b in
-            if over then hit_budget := true;
-            over)
-  in
-  { t0; iters = ref 0; ttfi = ref None; hit_budget; stop; o0 }
-
-let observe m best =
-  incr m.iters;
-  if !(m.ttfi) = None && Lexico.lt ~rel_tol best m.o0 then
-    m.ttfi := Some (Unix.gettimeofday () -. m.t0)
-
-let finish m p g ~algo ~iterations ~improvements ~evaluations ~memo_hits
-    ~memo_misses ~objective =
-  let elapsed = Unix.gettimeofday () -. m.t0 in
-  {
-    preset = p.Large.name;
-    algo;
-    nodes = Graph.node_count g;
-    arcs = Graph.arc_count g;
-    iterations;
-    improvements;
-    evaluations;
-    memo_hits;
-    memo_misses;
-    ttfi_s = !(m.ttfi);
-    elapsed_s = elapsed;
-    iters_per_sec =
-      (if elapsed > 0. then float_of_int iterations /. elapsed else 0.);
-    objective;
-    stopped_early = !(m.hit_budget);
-  }
-
 let run ?(cfg = Dtr_core.Search_config.quick) ?(seed = 1) ?time_budget
-    ?str_iters ?w0 ?fraction ?density ?(util = default_util)
-    ?(progress = fun _ -> ()) ?(trace = Trace.disabled) ~model p =
-  let spec = spec ?fraction ?density ~seed p in
+    ?(progress = fun _ -> ()) ~model p =
   progress
     (Printf.sprintf "%s: generating topology + demand (%d nodes)..."
        p.Large.name (Large.node_count p));
-  let inst = Scenario.make spec in
-  let inst = Scenario.scale_to_utilization inst ~target:util in
-  let problem = Scenario.problem inst ~model in
+  let inst =
+    Scenario.make
+      {
+        Scenario.topology = Scenario.Large p;
+        fraction = 0.30;
+        hp = Scenario.Random_density 0.10;
+        seed;
+      }
+  in
+  let meters =
+    List.map
+      (fun algo -> (algo, { t0 = 0.; history = []; hit_budget = false }))
+      [ Multistart.Str; Multistart.Dtr ]
+  in
+  let stop algo =
+    let m = List.assoc algo meters in
+    progress
+      (Printf.sprintf "%s: %s search..." p.Large.name
+         (String.uppercase_ascii (Multistart.algo_name algo)));
+    m.t0 <- Unix.gettimeofday ();
+    fun () ->
+      match time_budget with
+      | None -> false
+      | Some b ->
+          let over = Unix.gettimeofday () -. m.t0 > b in
+          if over then m.hit_budget <- true;
+          over
+  in
+  let on_progress algo best =
+    let m = List.assoc algo meters in
+    m.history <- (Unix.gettimeofday () -. m.t0, best) :: m.history
+  in
+  let point =
+    Compare.run_point ~cfg ~seed ~stop ~on_progress inst ~model
+      ~target_util:default_util
+  in
+  let t_end = Unix.gettimeofday () in
   let g = inst.Scenario.graph in
-  (* Same derivation as Compare.run_point: unstopped trajectories are
-     identical to the comparison path's. *)
-  let root = Prng.create (seed + (inst.Scenario.spec.Scenario.seed * 7919)) in
-  let str_rng = Prng.split root in
-  let dtr_rng = Prng.split root in
-  let weight_rng = Prng.split root in
-  (* Default start: seeded random weights (as in Large_bench's probe
-     scenario), NOT the searches' mid-range uniform default — on the
-     full-mesh-core presets uniform weights shortest-hop-route every
-     PoP pair over its direct core link, which is already locally
-     optimal, so a mid start measures no time-to-first-improvement at
-     all. *)
-  let wh0, wl0 =
-    match w0 with
-    | Some (wh, wl) -> (wh, wl)
-    | None ->
-        ( Dtr_routing.Weights.random weight_rng g,
-          Dtr_routing.Weights.random weight_rng g )
+  let wh0, wl0 = point.Compare.w0 in
+  let row algo (r : Multistart.report) ~o0 ~t_stop =
+    let m = List.assoc algo meters in
+    let rs = r.Multistart.restarts.(0) in
+    (* Time to first improvement over the starting objective. *)
+    let ttfi =
+      List.fold_left
+        (fun acc (t, best) -> if Lexico.lt ~rel_tol best o0 then Some t else acc)
+        None m.history
+    in
+    let elapsed = t_stop -. m.t0 in
+    let iterations = rs.Multistart.iterations in
+    progress
+      (Printf.sprintf "%s: %s done (%d iterations, %d improvements, %.1f s)"
+         p.Large.name
+         (String.uppercase_ascii (Multistart.algo_name algo))
+         iterations rs.Multistart.improvements elapsed);
+    {
+      preset = p.Large.name;
+      algo = Multistart.algo_name algo;
+      nodes = Graph.node_count g;
+      arcs = Graph.arc_count g;
+      iterations;
+      improvements = rs.Multistart.improvements;
+      evaluations = rs.Multistart.evaluations;
+      memo_hits = rs.Multistart.memo_hits;
+      memo_misses = rs.Multistart.memo_misses;
+      ttfi_s = ttfi;
+      elapsed_s = elapsed;
+      iters_per_sec =
+        (if elapsed > 0. then float_of_int iterations /. elapsed else 0.);
+      objective = r.Multistart.objective;
+      stopped_early = m.hit_budget;
+    }
   in
-  let w0 = Some (wh0, wl0) in
-  (* Each search gets the full budget, measured from its own start. *)
-  progress (Printf.sprintf "%s: STR search..." p.Large.name);
+  let problem = point.Compare.problem in
+  (* STR's search ends where DTR's starts. *)
+  let dtr_t0 = (List.assoc Multistart.Dtr meters).t0 in
   let str_row =
-    let o0 = Problem.objective (Problem.eval_str problem ~w:wh0) in
-    let m = meter ?time_budget o0 in
-    let r =
-      Str_search.run ?w0:(Option.map fst w0) ?iters:str_iters ?stop:m.stop
-        ~on_progress:(fun _ best -> observe m best)
-        ~trace str_rng cfg problem
-    in
-    finish m p g ~algo:"str" ~iterations:!(m.iters)
-      ~improvements:r.Str_search.improvements
-      ~evaluations:r.Str_search.evaluations
-      ~memo_hits:r.Str_search.memo_hits ~memo_misses:r.Str_search.memo_misses
-      ~objective:r.Str_search.objective
+    row Multistart.Str point.Compare.str
+      ~o0:(Problem.objective (Problem.eval_str problem ~w:wh0))
+      ~t_stop:dtr_t0
   in
-  progress
-    (Printf.sprintf "%s: STR done (%d iterations, %d improvements, %.1f s)"
-       p.Large.name str_row.iterations str_row.improvements str_row.elapsed_s);
-  progress (Printf.sprintf "%s: DTR search..." p.Large.name);
   let dtr_row =
-    let o0 = Problem.objective (Problem.eval_dtr problem ~wh:wh0 ~wl:wl0) in
-    let m = meter ?time_budget o0 in
-    let r =
-      Dtr_search.run ?w0 ?stop:m.stop
-        ~on_progress:(fun pr -> observe m pr.Dtr_search.best_objective)
-        ~trace dtr_rng cfg problem
-    in
-    finish m p g ~algo:"dtr" ~iterations:!(m.iters)
-      ~improvements:r.Dtr_search.improvements
-      ~evaluations:r.Dtr_search.evaluations
-      ~memo_hits:r.Dtr_search.memo_hits ~memo_misses:r.Dtr_search.memo_misses
-      ~objective:r.Dtr_search.objective
+    row Multistart.Dtr point.Compare.dtr
+      ~o0:(Problem.objective (Problem.eval_dtr problem ~wh:wh0 ~wl:wl0))
+      ~t_stop:t_end
   in
-  progress
-    (Printf.sprintf "%s: DTR done (%d iterations, %d improvements, %.1f s)"
-       p.Large.name dtr_row.iterations dtr_row.improvements dtr_row.elapsed_s);
   [ str_row; dtr_row ]
 
 let table rows =

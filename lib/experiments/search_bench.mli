@@ -6,15 +6,12 @@
     time to first accepted improvement and iterations per second at
     1k-10k nodes — and is the source of [BENCH_search_large.json].
 
-    The scenario derivation and PRNG streams match
-    {!Compare.run_point}, so a budget-free run is deterministic in
-    (preset, seed, config, model) — only the timing columns are
-    machine-dependent.  Unlike the comparison path, the searches start
-    from seeded {e random} weights rather than the mid-range uniform
-    default: on the full-mesh-core presets the uniform start
-    shortest-hop-routes every PoP pair over its direct core link and
-    is already locally optimal, which would leave nothing for
-    time-to-first-improvement to measure. *)
+    The run is one {!Compare.run_point} — scenario, PRNG streams and
+    the seeded random start pair are exactly those of
+    [dtr optimize --preset P --seed S] — with a meter on its [stop] and
+    [on_progress] hooks.  A budget-free run is deterministic in
+    (preset, seed, config, model); only the timing columns are
+    machine-dependent. *)
 
 type row = {
   preset : string;
@@ -42,31 +39,20 @@ val run :
   ?cfg:Dtr_core.Search_config.t ->
   ?seed:int ->
   ?time_budget:float ->
-  ?str_iters:int ->
-  ?w0:int array * int array ->
-  ?fraction:float ->
-  ?density:float ->
-  ?util:float ->
   ?progress:(string -> unit) ->
-  ?trace:Dtr_core.Trace.t ->
   model:Dtr_routing.Objective.model ->
   Dtr_topology.Large.preset ->
   row list
-(** Build the preset's scenario (PoP gravity demand, demand-only
-    routing contexts), scale to [util], then run STR and DTR in
-    sequence — one {!row} each, in that order.  [time_budget] (seconds)
-    is granted to {e each} search separately, polled once per
-    iteration; [str_iters] caps the STR iteration count (default
-    {!Dtr_core.Str_search.default_iters}, which grows with the arc
-    count — cap it for budget-free deterministic runs); [w0]
-    warm-starts both (STR takes the first vector; default: seeded
-    random weights, see above).
-    [cfg] defaults to {!Dtr_core.Search_config.quick} — at this scale
-    the budget, not the iteration cap, is meant to end the run.
-    [progress] receives one line per phase (generation, each search's
-    start and finish).
-    @raise Invalid_argument on an out-of-range or wrong-length vector
-    in [w0]. *)
+(** Build the preset's scenario (PoP gravity demand, [f = 0.30],
+    [k = 0.10], demand-only routing contexts), scale to
+    {!default_util}, then run STR and DTR in sequence through
+    {!Compare.run_point} — one {!row} each, in that order.
+    [time_budget] (seconds) is granted to {e each} search separately,
+    polled once per iteration.  [cfg] defaults to
+    {!Dtr_core.Search_config.quick} — at this scale the budget, not
+    the iteration cap, is meant to end the run.  [progress] receives
+    one line per phase (generation, each search's start and
+    finish). *)
 
 val table : row list -> Dtr_util.Table.t
 

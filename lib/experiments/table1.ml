@@ -2,6 +2,7 @@ module Table = Dtr_util.Table
 module Objective = Dtr_routing.Objective
 module Lexico = Dtr_cost.Lexico
 module Str_search = Dtr_core.Str_search
+module Multistart = Dtr_core.Multistart
 
 let run ?cfg ?(seed = 59) ?(targets = [ 0.45; 0.55; 0.65; 0.75; 0.85 ])
     ?(epsilons = [ 0.05; 0.30 ]) ~topology () =
@@ -28,11 +29,15 @@ let run ?cfg ?(seed = 59) ?(targets = [ 0.45; 0.55; 0.65; 0.75; 0.85 ])
   in
   List.iter
     (fun p ->
-      let dtr_phi_l = p.Compare.dtr.Dtr_core.Dtr_search.objective.Lexico.secondary in
+      let str = p.Compare.str in
+      let archive =
+        str.Multistart.restarts.(str.Multistart.best_index).Multistart.archive
+      in
+      let dtr_phi_l = p.Compare.dtr.Multistart.objective.Lexico.secondary in
       let relaxed_cells =
         List.map
           (fun epsilon ->
-            match Str_search.relaxed_best p.Compare.str ~epsilon with
+            match Str_search.relaxed_best archive ~epsilon with
             | None -> "n/a"
             | Some a ->
                 Printf.sprintf "%.2f"

@@ -316,17 +316,17 @@ let test_str_relaxed_best_monotone () =
   let p = ring_problem () in
   let report = Str_search.run ~iters:80 (Prng.create 14) tiny_config p in
   let phi_l_at eps =
-    match Str_search.relaxed_best report ~epsilon:eps with
+    match Str_search.relaxed_best report.Str_search.archive ~epsilon:eps with
     | Some a -> a.Str_search.phi_l
     | None -> Float.infinity
   in
   Alcotest.(check bool) "epsilon 0 exists" true
-    (Str_search.relaxed_best report ~epsilon:0. <> None);
+    (Str_search.relaxed_best report.Str_search.archive ~epsilon:0. <> None);
   Alcotest.(check bool) "looser epsilon never hurts" true
     (phi_l_at 0.3 <= phi_l_at 0.05 && phi_l_at 0.05 <= phi_l_at 0.);
   Alcotest.check_raises "negative epsilon"
     (Invalid_argument "Str_search.relaxed_best: negative epsilon") (fun () ->
-      ignore (Str_search.relaxed_best report ~epsilon:(-0.1)))
+      ignore (Str_search.relaxed_best report.Str_search.archive ~epsilon:(-0.1)))
 
 let test_str_archive_empty_under_sla () =
   let p = ring_problem ~model:(Objective.Sla Dtr_cost.Sla.default) () in
@@ -334,7 +334,7 @@ let test_str_archive_empty_under_sla () =
   Alcotest.(check bool) "no archive under SLA" true
     (report.Str_search.archive = []);
   Alcotest.(check bool) "relaxed query yields none" true
-    (Str_search.relaxed_best report ~epsilon:0.3 = None)
+    (Str_search.relaxed_best report.Str_search.archive ~epsilon:0.3 = None)
 
 let test_default_iters_budget () =
   Alcotest.(check int) "tiny config"
@@ -403,12 +403,12 @@ let test_str_relaxation_reaches_split_on_triangle () =
   Matrix.set tl 0 2 (2. /. 3.);
   let p = Problem.create ~graph:g ~th ~tl ~model:Objective.Load in
   let report = Str_search.run ~iters:150 (Prng.create 42) tiny_config p in
-  (match Str_search.relaxed_best report ~epsilon:0.51 with
+  (match Str_search.relaxed_best report.Str_search.archive ~epsilon:0.51 with
   | None -> Alcotest.fail "expected a relaxed solution"
   | Some a ->
       Alcotest.(check (float 1e-9)) "split Phi_L" (4. /. 3.) a.Str_search.phi_l;
       Alcotest.(check (float 1e-9)) "split Phi_H" 0.5 a.Str_search.phi_h);
-  match Str_search.relaxed_best report ~epsilon:0.05 with
+  match Str_search.relaxed_best report.Str_search.archive ~epsilon:0.05 with
   | None -> Alcotest.fail "expected the strict solution"
   | Some a ->
       Alcotest.(check (float 1e-9)) "strict Phi_L" (64. /. 9.) a.Str_search.phi_l

@@ -23,6 +23,7 @@ module Multistart = Dtr_core.Multistart
 module Trace = Dtr_core.Trace
 module Report_gen = Dtr_core.Report_gen
 module Scenario = Dtr_experiments.Scenario
+module Compare = Dtr_experiments.Compare
 
 let bits = Int64.bits_of_float
 
@@ -578,6 +579,59 @@ let test_report_multistart_restarts () =
            (fun (p : Report_gen.phase) -> p.Report_gen.p_restart >= 0)
            phases)
 
+(* The trace of an optimize run (STR's Multistart run, then DTR's, into
+   one sink) must keep every (algorithm, restart) apart: each
+   algorithm's restart rows sum to that search's evaluation count, at
+   one restart and at several. *)
+let test_report_restart_rows_per_algorithm () =
+  let inst =
+    Scenario.make
+      {
+        Scenario.topology = Scenario.Isp;
+        fraction = 0.30;
+        hp = Scenario.Random_density 0.10;
+        seed = 7;
+      }
+  in
+  List.iter
+    (fun restarts ->
+      with_temp_trace @@ fun path ->
+      let oc = open_out path in
+      let trace = Trace.jsonl ~timestamps:false oc in
+      let point =
+        Compare.run_point ~cfg:tiny_config ~seed:7 ~trace ~restarts inst
+          ~model:Objective.Load ~target_util:0.6
+      in
+      close_out oc;
+      match Report_gen.load path with
+      | Error e -> Alcotest.fail e
+      | Ok rep ->
+          let rows = Report_gen.restarts rep in
+          Alcotest.(check int) "one row per (algorithm, restart)"
+            (2 * restarts) (List.length rows);
+          List.iter
+            (fun (algo, (r : Multistart.report)) ->
+              let mine =
+                List.filter (fun row -> row.Report_gen.r_algo = algo) rows
+              in
+              Alcotest.(check (list int))
+                (Printf.sprintf "%s restart indices (restarts=%d)" algo restarts)
+                (List.init restarts Fun.id)
+                (List.map (fun row -> row.Report_gen.r_index) mine);
+              Alcotest.(check int)
+                (Printf.sprintf "%s rows sum to its evaluations (restarts=%d)"
+                   algo restarts)
+                r.Multistart.evaluations
+                (List.fold_left
+                   (fun acc row -> acc + row.Report_gen.r_evaluations)
+                   0 mine))
+            [ ("str", point.Compare.str); ("dtr", point.Compare.dtr) ];
+          Alcotest.(check int) "summary evaluations cover both searches"
+            (point.Compare.str.Multistart.evaluations
+            + point.Compare.dtr.Multistart.evaluations)
+            (Report_gen.totals rep).Report_gen.t_evaluations)
+    [ 1; 2 ]
+
 let test_report_load_errors () =
   Alcotest.(check bool) "unreadable file is an error" true
     (Result.is_error (Report_gen.load "/nonexistent/trace.jsonl"));
@@ -636,6 +690,8 @@ let () =
           Alcotest.test_case "single run" `Quick test_report_single_run;
           Alcotest.test_case "multistart restarts" `Quick
             test_report_multistart_restarts;
+          Alcotest.test_case "restart rows per algorithm" `Quick
+            test_report_restart_rows_per_algorithm;
           Alcotest.test_case "load errors" `Quick test_report_load_errors;
         ] );
     ]

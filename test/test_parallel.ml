@@ -160,6 +160,81 @@ let test_multistart_picks_best () =
         (Multistart.run ~restarts:0 ~algo:Multistart.Str (Prng.create 1)
            tiny_config p))
 
+(* Restart 0 is the single run: same stream, same start, same hooks. *)
+
+let isp_problem () =
+  let inst =
+    Scenario.make
+      {
+        Scenario.topology = Scenario.Isp;
+        fraction = 0.30;
+        hp = Scenario.Random_density 0.10;
+        seed = 3;
+      }
+  in
+  Scenario.problem
+    (Scenario.scale_to_utilization inst ~target:0.6)
+    ~model:Objective.Load
+
+(* One direct search on a fresh stream, as (weights, objective,
+   evaluations). *)
+let direct_run p algo seed =
+  let rng = Prng.create seed in
+  match algo with
+  | Multistart.Str ->
+      let r = Str_search.run rng tiny_config p in
+      (r.Str_search.best, r.Str_search.objective, r.Str_search.evaluations)
+  | Multistart.Dtr ->
+      let r = Dtr_search.run rng tiny_config p in
+      (r.Dtr_search.best, r.Dtr_search.objective, r.Dtr_search.evaluations)
+  | Multistart.Anneal ->
+      let r = Anneal_search.run rng tiny_config p in
+      ( r.Anneal_search.best,
+        r.Anneal_search.objective,
+        r.Anneal_search.evaluations )
+
+let check_restart_is_direct name (r : Multistart.restart) (best, obj, evals) =
+  Alcotest.(check (array int)) (name ^ ": wh") best.Problem.wh
+    r.Multistart.solution.Problem.wh;
+  Alcotest.(check (array int)) (name ^ ": wl") best.Problem.wl
+    r.Multistart.solution.Problem.wl;
+  Alcotest.(check int) (name ^ ": objective (exact)") 0
+    (Lexico.compare obj r.Multistart.objective);
+  Alcotest.(check int) (name ^ ": evaluations") evals r.Multistart.evaluations
+
+let all_algos = [ Multistart.Str; Multistart.Dtr; Multistart.Anneal ]
+
+let test_multistart_one_restart_is_direct () =
+  let p = isp_problem () in
+  List.iter
+    (fun algo ->
+      let name = Multistart.algo_name algo in
+      let ms =
+        Multistart.run ~restarts:1 ~algo (Prng.create 5) tiny_config p
+      in
+      let direct = direct_run p algo 5 in
+      check_restart_is_direct name ms.Multistart.restarts.(0) direct;
+      Alcotest.(check int) (name ^ ": report evaluations")
+        ms.Multistart.restarts.(0).Multistart.evaluations
+        ms.Multistart.evaluations)
+    all_algos
+
+let test_multistart_restart0_is_single_run () =
+  let p = isp_problem () in
+  List.iter
+    (fun algo ->
+      let name = Multistart.algo_name algo in
+      let ms =
+        Multistart.run ~jobs:2 ~restarts:3 ~algo (Prng.create 5) tiny_config p
+      in
+      check_restart_is_direct name ms.Multistart.restarts.(0)
+        (direct_run p algo 5);
+      Alcotest.(check bool) (name ^ ": winner no worse than restart 0") true
+        (Lexico.compare ms.Multistart.objective
+           ms.Multistart.restarts.(0).Multistart.objective
+        <= 0))
+    all_algos
+
 (* ------------------------------------------------------------------ *)
 (* Parallel failure sweep and experiment runner vs sequential *)
 
@@ -543,6 +618,10 @@ let () =
             test_multistart_jobs_invariance;
           Alcotest.test_case "picks the best restart" `Quick
             test_multistart_picks_best;
+          Alcotest.test_case "one restart is the direct search" `Quick
+            test_multistart_one_restart_is_direct;
+          Alcotest.test_case "restart 0 is the single run" `Quick
+            test_multistart_restart0_is_single_run;
         ] );
       ( "experiments",
         [
