@@ -38,6 +38,36 @@ let node_next_arcs g ~weights ~dist v =
   done;
   keep
 
+(* Decreasing distance, ties by increasing node id: the one definition
+   of the traversal order, shared by the from-scratch build and the
+   incremental updates. *)
+let precedes dist a b =
+  let da = dist.(a) and db = dist.(b) in
+  da > db || (da = db && a < b)
+
+let sort_order ~dist buf len =
+  if len <= 32 then
+    (* Insertion sort: the sets sorted incrementally are a handful of
+       nodes. *)
+    for i = 1 to len - 1 do
+      let x = buf.(i) in
+      let j = ref i in
+      while !j > 0 && precedes dist x buf.(!j - 1) do
+        buf.(!j) <- buf.(!j - 1);
+        decr j
+      done;
+      buf.(!j) <- x
+    done
+  else begin
+    let cmp x y = if x = y then 0 else if precedes dist x y then -1 else 1 in
+    if len = Array.length buf then Array.sort cmp buf
+    else begin
+      let a = Array.sub buf 0 len in
+      Array.sort cmp a;
+      Array.blit a 0 buf 0 len
+    end
+  end
+
 let of_dist g ~weights ~dst ~dist =
   let n = Graph.node_count g in
   let next_arcs =
@@ -57,12 +87,7 @@ let of_dist g ~weights ~dst ~dist =
       incr pos
     end
   done;
-  (* Sort by decreasing distance, ties by increasing node id. *)
-  Array.sort
-    (fun a b ->
-      let c = compare dist.(b) dist.(a) in
-      if c <> 0 then c else compare a b)
-    order_desc;
+  sort_order ~dist order_desc (Array.length order_desc);
   { dst; dist; next_arcs; order_desc }
 
 let to_destination g ~weights ~dst =

@@ -39,6 +39,16 @@ val node_next_arcs :
     dist(v)].  The per-node step of {!of_dist}, exposed for
     {!Spf_delta}'s membership-only patches. *)
 
+val precedes : int array -> int -> int -> bool
+(** [precedes dist a b]: node [a] comes before [b] in the traversal
+    order of {!dag.order_desc} under labels [dist] — larger distance
+    first, ties by smaller id. *)
+
+val sort_order : dist:int array -> int array -> int -> unit
+(** [sort_order ~dist buf len] sorts [buf.(0 .. len-1)] in place into
+    the {!precedes} order (for the small node sets of incremental
+    updates; no allocation up to 32 nodes). *)
+
 val all_destinations :
   ?ws:Dijkstra.workspace -> Graph.t -> weights:int array -> dag array
 (** One DAG per destination node, indexed by node id.  [?ws] reuses

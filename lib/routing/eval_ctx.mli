@@ -1,23 +1,35 @@
 (** Incremental multi-class evaluation context.
 
     A context holds one full evaluation — per-group shortest-path DAGs
-    ({!Dtr_graph.Spf_delta} keeps them current), per-destination load
-    contributions, per-class load totals, the residual-capacity
-    cascade, and per-arc Fortz costs — and re-evaluates candidate
-    weight changes incrementally: {!probe} screens which destinations a
-    change can affect, re-projects only their flows, patches only the
-    arcs whose load moved (including the high→residual→low coupling),
-    and returns the candidate's objective vector without touching the
-    committed state.  {!commit} installs a probe; {!abort} discards it.
+    ({!Dtr_graph.Spf_delta} keeps them current), per-destination node
+    flows and load contributions, per-class load totals, the
+    residual-capacity cascade, and per-arc Fortz costs — and
+    re-evaluates candidate weight changes incrementally, in work
+    proportional to what moves: {!probe} screens which destinations a
+    change can affect, updates their distance labels dynamically,
+    re-propagates flow only over the sub-DAG whose forwarding moved
+    ({!Loads.repropagate}), re-sums only the arcs whose load moved
+    (including the high→residual→low coupling), and returns the
+    candidate's objective vector without touching the committed state.
+    {!commit} installs a probe; {!abort} discards it.
+
+    Probes are sparse: a probe holds the arcs, node flows and per-class
+    values it moved plus its Φ vector, never a full row.  Full
+    contribution, flow, load, capacity and Φ rows are materialized —
+    as copies of the committed rows with the probe's values written
+    over them — only by {!commit}, and on demand by {!probe_phi_row}
+    and {!failure_phi_row} (the SLA model's delay walk).
 
     Probes are pure: many can be taken from the same state, compared,
     and all but the winner dropped — this is the apply/undo protocol of
     the search inner loops.  All quantities are bitwise-identical to a
     from-scratch {!Evaluate.evaluate} / {!Multi.evaluate} of the same
-    weights: per-arc loads receive at most one share per destination,
-    so patched totals re-associate exactly as the full sum, and Φ
-    totals are re-folded (not differentially adjusted) over the per-arc
-    array.
+    weights: per-arc loads receive at most one share per destination
+    and every touched arc is re-summed over the destinations in
+    ascending order, so patched totals associate exactly as the full
+    sum; re-propagated node flows add their inflows in the full walk's
+    order; and each Φ total is one ascending fold over the per-arc
+    costs.
 
     It is the only engine [Dtr_core.Problem] scores search candidates
     with, under every cost model: objectives beyond Φ are priced from a
@@ -79,8 +91,13 @@ type probe
 val probe : t -> klass:int -> changes:(int * int) list -> probe
 (** [probe t ~klass ~changes] evaluates setting arc [a] to weight [v]
     for each [(a, v)] in [changes] on [klass]'s weight vector (classes
-    sharing the vector change together).  No-op entries are ignored.
-    The context is not modified.
+    sharing the vector change together).  The list is applied in
+    order, so an arc listed more than once takes its {e last} value:
+    [[(a, 5); (a, 7)]] probes weight 7, and [[(a, 5); (a, w_a)]] with
+    [w_a] the current weight probes no change at all — the same
+    last-wins reading [Dtr_core.Problem] keys its memo with.  Arcs
+    that end at their current weight are ignored.  The context is not
+    modified.
     @raise Invalid_argument on an arc id or weight out of range. *)
 
 val probe_phi : probe -> float array
@@ -103,14 +120,17 @@ val probe_dags : t -> probe -> int -> Dtr_graph.Spf.dag array
     probe. *)
 
 val probe_phi_row : t -> probe -> int -> float array
-(** The candidate's per-arc Fortz costs of a class (the committed row
-    when the probe did not move it; shared, treat as immutable).
+(** The candidate's per-arc Fortz costs of a class, materialized on
+    each call (the committed row itself when the probe did not move
+    it; shared, treat as immutable).
     @raise Invalid_argument on a class out of range or a stale
     probe. *)
 
 val commit : t -> probe -> unit
-(** Install a probe.  Only probes taken from the current state may be
-    committed; committing advances the state.
+(** Install a probe: the rows it moved are materialized as fresh
+    copies (committed rows are replaced, never mutated).  Only probes
+    taken from the current state may be committed; committing advances
+    the state.
     @raise Invalid_argument on a stale probe. *)
 
 val abort : t -> probe -> unit
@@ -127,7 +147,8 @@ val fail_probe : t -> arcs:int list -> failure
     [arcs] removed from every class's topology (arc suppression via
     {!Dtr_graph.Dijkstra.suppressed}; no graph rebuild, no weight
     remapping).  Only destinations whose shortest-path DAGs used a
-    failed arc are re-screened and re-projected.  If the failure
+    failed arc are re-screened, through the same dynamic label update
+    and sub-DAG re-propagation as {!probe}.  If the failure
     severs any positive-demand pair the probe short-circuits: the
     per-class objective is infinite and {!failure_unreachable} counts
     the severed pairs.  Otherwise all patched quantities are bitwise
@@ -154,7 +175,9 @@ val failure_dags : t -> failure -> int -> Dtr_graph.Spf.dag array
 
 val failure_phi_row : failure -> int -> float array
 (** Post-failure per-arc Fortz costs of a class — failed arcs carry
-    zero load and zero cost.  Feeds the SLA delay walk.
+    zero load and zero cost — materialized on each call against the
+    rows committed when the failure was probed.  Feeds the SLA delay
+    walk.
     @raise Invalid_argument for a disconnecting failure (the rows are
     not computed: severed demand cannot be projected). *)
 
@@ -198,6 +221,13 @@ val contrib_view : t -> klass:int -> dst:int -> float array
     class.  Shared, not copied: commits replace rows, never mutate
     them, so a held view is a stable snapshot.  This is the raw
     material of {!Attribution}.
+    @raise Invalid_argument on a class or destination out of range. *)
+
+val flow_view : t -> klass:int -> dst:int -> float array
+(** One destination's committed per-node throughflow for a class —
+    {!Loads.node_throughflow} of its demand column on the current dag,
+    the row sub-DAG re-propagation starts from.  [[||]] mirrors
+    {!contrib_view}.  Shared; commits replace rows, never mutate them.
     @raise Invalid_argument on a class or destination out of range. *)
 
 val demand_view : t -> klass:int -> dst:int -> float array

@@ -63,3 +63,42 @@ val destination_demand :
     routable positive demand), with {!of_matrix}'s unroutable-pair
     handling.  Reachability does not depend on (positive) weights, so
     the column can be gathered once and reused across re-routings. *)
+
+type scratch
+(** Reusable node/arc marks and flow buffers for {!repropagate}, sized
+    lazily from the graph.  One per domain. *)
+
+val scratch : unit -> scratch
+
+val repropagate :
+  scratch ->
+  Dtr_graph.Graph.t ->
+  prev:Dtr_graph.Spf.dag ->
+  dag:Dtr_graph.Spf.dag ->
+  changed:int list ->
+  demand_to_dst:float array ->
+  flow:float array ->
+  contrib:float array ->
+  int
+(** Sub-DAG flow re-propagation.  [flow] and [contrib] are the node
+    flows ({!node_throughflow}) and arc contributions
+    ({!destination_loads}) of [demand_to_dst] on [prev]; [dag] is the
+    same destination's new dag, differing from [prev] only in the
+    next-hop rows and distance labels of the nodes in [changed] (as
+    reported by [Dtr_graph.Spf_delta.update_rows]).  Re-propagates flow
+    over just those nodes and everything downstream of them in either
+    dag, and records every node whose flow and every arc whose
+    contribution differs from the given rows ({!moved_flows},
+    {!moved_arcs}).  Writing the records over copies of [flow] and
+    [contrib] yields, bitwise, {!node_throughflow} and
+    {!destination_loads} on [dag]: each affected node's inflow is
+    summed in the full walk's order.  Returns the number of nodes
+    re-propagated.  Neither row is mutated. *)
+
+val moved_flows : scratch -> int array * float array
+(** The last {!repropagate}'s moved nodes and their new flows (fresh
+    arrays, each node once). *)
+
+val moved_arcs : scratch -> int array * float array
+(** The last {!repropagate}'s moved arcs and their new contributions
+    (fresh arrays, each arc once). *)

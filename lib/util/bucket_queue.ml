@@ -4,11 +4,17 @@
    of max_prio empty buckets, so a full drain is O(pushes + max_prio).
 
    The cursor never moves backward while pops stay monotone; pushing
-   below the cursor (allowed, but not the intended use) rewinds it. *)
+   below the cursor (allowed, but not the intended use) rewinds it.  A
+   push into an empty queue moves the cursor to its priority, so a
+   drain that starts high (a dynamic shortest-path update re-settling
+   nodes far from the destination) never sweeps the empty buckets
+   below its first push. *)
 
 type t = {
   mutable buckets : int list array;
-  mutable cursor : int;  (* no occupied bucket strictly below this index *)
+  mutable cursor : int;
+      (* no occupied bucket strictly below this index; set to the
+         priority of a push into the empty queue *)
   mutable limit : int;  (* no occupied bucket at or above this index *)
   mutable size : int;
 }
@@ -33,7 +39,9 @@ let add t ~prio v =
   if prio < 0 then invalid_arg "Bucket_queue.add: negative priority";
   grow t prio;
   t.buckets.(prio) <- v :: t.buckets.(prio);
-  if prio < t.cursor then t.cursor <- prio;
+  (* An empty queue has no occupied bucket anywhere, so the cursor may
+     jump straight to the first push. *)
+  if t.size = 0 || prio < t.cursor then t.cursor <- prio;
   if prio >= t.limit then t.limit <- prio + 1;
   t.size <- t.size + 1
 
@@ -48,6 +56,22 @@ let rec pop_min t =
     | [] ->
         t.cursor <- t.cursor + 1;
         pop_min t
+
+(* [pop_min] without the option and tuple: the priority of the entry
+   just returned is where the cursor stopped. *)
+let rec pop_min_value t =
+  if t.size = 0 then invalid_arg "Bucket_queue.pop_min_value: empty queue"
+  else
+    match t.buckets.(t.cursor) with
+    | v :: rest ->
+        t.buckets.(t.cursor) <- rest;
+        t.size <- t.size - 1;
+        v
+    | [] ->
+        t.cursor <- t.cursor + 1;
+        pop_min_value t
+
+let last_prio t = t.cursor
 
 let clear t =
   if t.size > 0 then

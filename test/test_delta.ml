@@ -501,6 +501,433 @@ let test_eval_ctx_stale_probe () =
     (Invalid_argument "Eval_ctx.probe_phi_row: stale probe")
     (fun () -> ignore (Eval_ctx.probe_phi_row ctx p2 0))
 
+(* An arc listed twice takes its last value: [(a, 5); (a, 7)] probes
+   weight 7, and [(a, 5); (a, w_a)] probes no change — the reading
+   Problem's memo key (shift_key) already uses. *)
+let test_eval_ctx_revisited_arc () =
+  let g = random_graph 11 in
+  let rng = Prng.create 41 in
+  let th, tl = random_matrices rng g in
+  let wh = Weights.random rng g and wl = Weights.random rng g in
+  let ctx = Eval_ctx.create g ~weights:[| wh; wl |] ~matrices:[| th; tl |] in
+  let a = 3 in
+  let wa = wh.(a) in
+  let v1 = if wa = 5 then 6 else 5 and v2 = if wa = 7 then 8 else 7 in
+  let twice = Eval_ctx.probe ctx ~klass:0 ~changes:[ (a, v1); (a, v2) ] in
+  let once = Eval_ctx.probe ctx ~klass:0 ~changes:[ (a, v2) ] in
+  check_arr ~what:"[(a,v1);(a,v2)] = [(a,v2)]" (Eval_ctx.probe_phi twice)
+    (Eval_ctx.probe_phi once);
+  let back = Eval_ctx.probe ctx ~klass:0 ~changes:[ (a, v1); (a, wa) ] in
+  check_arr ~what:"[(a,v1);(a,w_a)] is no change" (Eval_ctx.probe_phi back)
+    (Eval_ctx.phi ctx);
+  Alcotest.(check (list int)) "no change touches no arc" []
+    (Eval_ctx.probe_touched back);
+  (* Through Problem: committing the round trip leaves weights, memo
+     key and objective where they were. *)
+  let problem = Problem.create ~graph:g ~th ~tl ~model:Objective.Load in
+  let sol = Problem.eval_dtr problem ~wh ~wl in
+  let pctx = Problem.ctx_of_solution problem sol in
+  let key0 = Problem.ctx_base_key pctx in
+  let d = Problem.eval_delta problem pctx ~cls:`H ~changes:[ (a, v1); (a, wa) ] in
+  check_lex ~what:"round-trip objective" (Problem.delta_objective d)
+    (Problem.objective sol);
+  let committed = Problem.commit_delta problem pctx d in
+  Alcotest.(check (array int)) "weights unchanged" wh committed.Problem.wh;
+  Alcotest.(check int) "memo key unchanged" key0 (Problem.ctx_base_key pctx);
+  Alcotest.(check int) "memo key = fresh key"
+    (Problem.ctx_base_key_fresh pctx) (Problem.ctx_base_key pctx);
+  let d = Problem.eval_delta problem pctx ~cls:`H ~changes:[ (a, v1); (a, v2) ] in
+  let wh' = Array.copy wh in
+  wh'.(a) <- v2;
+  check_lex ~what:"last value wins" (Problem.delta_objective d)
+    (Problem.objective (Problem.eval_dtr problem ~wh:wh' ~wl))
+
+(* ------------------------------------------------------------------ *)
+(* Sub-DAG flow re-propagation vs the full walk *)
+
+let bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+let check_bits ~what expected actual =
+  if not (bits_equal expected actual) then begin
+    let i = ref 0 in
+    while
+      !i < Array.length expected
+      && !i < Array.length actual
+      && Int64.equal
+           (Int64.bits_of_float expected.(!i))
+           (Int64.bits_of_float actual.(!i))
+    do
+      incr i
+    done;
+    if !i < Array.length expected && !i < Array.length actual then
+      Alcotest.failf "%s: index %d: %.17g vs %.17g" what !i expected.(!i)
+        actual.(!i)
+    else
+      Alcotest.failf "%s: lengths %d vs %d" what (Array.length expected)
+        (Array.length actual)
+  end
+
+(* A chain of [k] diamonds (entry -> two middles -> exit) with every
+   rung doubled by a parallel arc, and a back arc per rung so weight
+   changes can reroute: equal weights split flow many ways, so every
+   exit node sums several shares — where a reordered float sum would
+   show. *)
+let diamond_chain k =
+  let n = (3 * k) + 1 in
+  let arcs = ref [] in
+  let arc src dst = arcs := { Graph.src; dst; capacity = 100.; delay = 1. } :: !arcs in
+  for i = 0 to k - 1 do
+    let e = 3 * i and m1 = (3 * i) + 1 and m2 = (3 * i) + 2 and x = 3 * (i + 1) in
+    arc e m1; arc e m1; arc e m2; arc m1 x; arc m2 x; arc m2 x;
+    arc m1 e; arc m2 e; arc x m1; arc x m2; arc m1 m2; arc m2 m1
+  done;
+  Graph.build ~n (List.rev !arcs)
+
+(* Flows with no short binary expansion, so summation order matters. *)
+let awkward_demand rng n ~dst =
+  Array.init n (fun s ->
+      if s = dst then 0. else 0.1 +. (float_of_int (Prng.int rng 1000) /. 7.))
+
+let repropagate_matches g rng ~steps =
+  let n = Graph.node_count g and m = Graph.arc_count g in
+  let w = Array.make m 10 in
+  let dags = ref (Spf.all_destinations g ~weights:w) in
+  let demand = Array.init n (fun dst -> awkward_demand rng n ~dst) in
+  let ws = Spf_delta.workspace () and sc = Loads.scratch () in
+  for step = 1 to steps do
+    let changes =
+      List.init (1 + Prng.int rng 2) (fun _ -> Prng.int rng m)
+      |> List.sort_uniq compare
+      |> List.filter_map (fun arc ->
+             let v = Prng.int_incl rng 8 12 in
+             if v = w.(arc) then None
+             else Some { Spf_delta.arc; before = w.(arc); after = v })
+    in
+    List.iter (fun c -> w.(c.Spf_delta.arc) <- c.Spf_delta.after) changes;
+    let next, dirty =
+      Spf_delta.update_rows ~ws g ~weights:w ~prev:!dags ~changes
+    in
+    List.iter
+      (fun (d : Spf_delta.dirty) ->
+        let t = d.Spf_delta.dst in
+        let prev = !dags.(t) and dag = next.(t) in
+        let dem = demand.(t) in
+        let flow = Loads.node_throughflow g ~dag:prev ~demand_to_dst:dem in
+        let contrib = Loads.destination_loads g ~dag:prev ~demand_to_dst:dem in
+        ignore
+          (Loads.repropagate sc g ~prev ~dag ~changed:d.Spf_delta.changed
+             ~demand_to_dst:dem ~flow ~contrib);
+        let apply row (idx, vals) =
+          let r = Array.copy row in
+          Array.iteri (fun i a -> r.(a) <- vals.(i)) idx;
+          r
+        in
+        let what = Printf.sprintf "step %d dst %d" step t in
+        check_bits ~what:(what ^ ": flow")
+          (Loads.node_throughflow g ~dag ~demand_to_dst:dem)
+          (apply flow (Loads.moved_flows sc));
+        check_bits ~what:(what ^ ": contrib")
+          (Loads.destination_loads g ~dag ~demand_to_dst:dem)
+          (apply contrib (Loads.moved_arcs sc)))
+      dirty;
+    dags := next
+  done
+
+let test_repropagate_flow_order () =
+  (* Long chains re-propagate most of the dag (the order_desc walk),
+     changes near a destination only a few nodes (the in-arc pull); a
+     dense complete digraph with doubled arcs covers the walk on a
+     graph where most in-arcs are off the dag. *)
+  let rng = Prng.create 2024 in
+  List.iter (fun k -> repropagate_matches (diamond_chain k) rng ~steps:60) [ 1; 3; 6 ];
+  let complete n =
+    let arcs = ref [] in
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        if i <> j then begin
+          arcs := { Graph.src = i; dst = j; capacity = 100.; delay = 1. } :: !arcs;
+          if (i + j) mod 3 = 0 then
+            arcs := { Graph.src = i; dst = j; capacity = 100.; delay = 1. } :: !arcs
+        end
+      done
+    done;
+    Graph.build ~n (List.rev !arcs)
+  in
+  repropagate_matches (complete 7) rng ~steps:80
+
+(* ------------------------------------------------------------------ *)
+(* Long seeded commit sequences: every committed state against a fresh
+   context, every DAG against from-scratch SPF, every failure probe
+   against the reduced-graph oracle. *)
+
+(* Two triangles joined by one link: failing the bridge partitions the
+   graph. *)
+let bridge_graph () =
+  let arcs = ref [] in
+  let link a b =
+    arcs :=
+      { Graph.src = b; dst = a; capacity = 80.; delay = 1. }
+      :: { Graph.src = a; dst = b; capacity = 80.; delay = 1. }
+      :: !arcs
+  in
+  List.iter (fun (a, b) -> link a b) [ (0, 1); (1, 2); (2, 0); (2, 3); (3, 4); (4, 5); (5, 3) ];
+  Graph.build ~n:6 (List.rev !arcs)
+
+(* A ring with doubled links (parallel arcs both ways) and two chords. *)
+let parallel_ring () =
+  let arcs = ref [] in
+  let link a b =
+    arcs :=
+      { Graph.src = b; dst = a; capacity = 60.; delay = 1. }
+      :: { Graph.src = a; dst = b; capacity = 60.; delay = 1. }
+      :: !arcs
+  in
+  for i = 0 to 6 do
+    link i ((i + 1) mod 7);
+    if i mod 2 = 0 then link i ((i + 1) mod 7)
+  done;
+  link 0 3;
+  link 2 5;
+  Graph.build ~n:7 (List.rev !arcs)
+
+let check_ctx_state ~what ctx ~matrices ~dest_mode =
+  let g = Eval_ctx.graph ctx in
+  let classes = Eval_ctx.class_count ctx in
+  let weights =
+    (* Re-create the physical sharing of the groups. *)
+    let ws = Array.init classes (Eval_ctx.weights ctx) in
+    for k = 1 to classes - 1 do
+      for j = 0 to k - 1 do
+        if Eval_ctx.shares_group ctx j k then ws.(k) <- ws.(j)
+      done
+    done;
+    ws
+  in
+  let fresh = Eval_ctx.create ~dest_mode g ~weights ~matrices in
+  check_bits ~what:(what ^ ": phi") (Eval_ctx.phi fresh) (Eval_ctx.phi ctx);
+  for k = 0 to classes - 1 do
+    let wk = Printf.sprintf "%s class %d" what k in
+    check_bits ~what:(wk ^ ": loads") (Eval_ctx.loads fresh k) (Eval_ctx.loads ctx k);
+    check_bits ~what:(wk ^ ": capacity")
+      (Eval_ctx.capacity_seen_view fresh k)
+      (Eval_ctx.capacity_seen_view ctx k);
+    check_bits ~what:(wk ^ ": phi row") (Eval_ctx.phi_per_arc fresh k)
+      (Eval_ctx.phi_per_arc ctx k);
+    let scratch = Spf.all_destinations g ~weights:weights.(k) in
+    let dags = Eval_ctx.dags ctx k in
+    for dst = 0 to Graph.node_count g - 1 do
+      if not (Spf.is_placeholder dags.(dst)) then
+        check_dag_equal ~what:(Printf.sprintf "%s dag %d" wk dst) scratch.(dst)
+          dags.(dst);
+      check_bits ~what:(Printf.sprintf "%s contrib %d" wk dst)
+        (Eval_ctx.contrib_view fresh ~klass:k ~dst)
+        (Eval_ctx.contrib_view ctx ~klass:k ~dst);
+      check_bits ~what:(Printf.sprintf "%s flow %d" wk dst)
+        (Eval_ctx.flow_view fresh ~klass:k ~dst)
+        (Eval_ctx.flow_view ctx ~klass:k ~dst)
+    done
+  done
+
+(* Candidate weights of a probe on [klass]: the last value per arc. *)
+let candidate ctx ~klass changes =
+  let w = Eval_ctx.weights ctx klass in
+  List.iter (fun (a, v) -> w.(a) <- v) changes;
+  w
+
+let fresh_phi ctx ~matrices ~dest_mode ~klass changes =
+  let g = Eval_ctx.graph ctx in
+  let classes = Eval_ctx.class_count ctx in
+  let cand = candidate ctx ~klass changes in
+  let weights =
+    Array.init classes (fun k ->
+        if Eval_ctx.shares_group ctx k klass then cand else Eval_ctx.weights ctx k)
+  in
+  for k = 1 to classes - 1 do
+    for j = 0 to k - 1 do
+      if Eval_ctx.shares_group ctx j k then weights.(k) <- weights.(j)
+    done
+  done;
+  Eval_ctx.create ~dest_mode g ~weights ~matrices
+
+(* The reduced-graph oracle of a link failure: severed pairs by plain
+   reachability, otherwise Multi.evaluate on the graph without the
+   link's arcs. *)
+let check_failure ~what ctx ~matrices ~link =
+  let g = Eval_ctx.graph ctx in
+  let n = Graph.node_count g in
+  let a, b = link in
+  let arcs = if a = b then [ a ] else [ a; b ] in
+  let f = Eval_ctx.fail_probe ctx ~arcs in
+  let reduced, mapping = Dtr_routing.Failure_sweep.fail_link g ~link in
+  let ones = Array.make (Graph.arc_count reduced) 1 in
+  let severed = ref 0 in
+  for dst = 0 to n - 1 do
+    let dist = Dtr_graph.Dijkstra.distances_to reduced ~weights:ones ~dst in
+    Array.iter
+      (fun tm ->
+        for s = 0 to n - 1 do
+          if s <> dst && Matrix.get tm s dst > 0. && dist.(s) = Dtr_graph.Dijkstra.unreachable
+          then incr severed
+        done)
+      matrices
+  done;
+  Alcotest.(check int) (what ^ ": severed pairs") !severed
+    (Eval_ctx.failure_unreachable f);
+  if !severed = 0 then begin
+    let classes = Eval_ctx.class_count ctx in
+    let remapped = Array.init classes (fun k ->
+        let w = Eval_ctx.weights_view ctx k in
+        Array.map (fun orig -> w.(orig)) mapping)
+    in
+    for k = 1 to classes - 1 do
+      for j = 0 to k - 1 do
+        if Eval_ctx.shares_group ctx j k then remapped.(k) <- remapped.(j)
+      done
+    done;
+    let oracle = Multi.evaluate reduced ~weights:remapped ~matrices in
+    check_bits ~what:(what ^ ": failure phi") oracle.Multi.phi (Eval_ctx.failure_phi f);
+    for k = 0 to classes - 1 do
+      let row = Eval_ctx.failure_phi_row f k in
+      check_bits ~what:(Printf.sprintf "%s: failure phi row %d" what k)
+        oracle.Multi.phi_per_arc.(k)
+        (Array.map (fun orig -> row.(orig)) mapping);
+      List.iter
+        (fun x ->
+          if row.(x) <> 0. then Alcotest.failf "%s: failed arc %d costs %g" what x row.(x))
+        arcs
+    done
+  end
+
+let stress_ops ~what g ~weights ~matrices ~dest_mode ~seed ~ops =
+  let rng = Prng.create seed in
+  let ctx = Eval_ctx.create ~dest_mode g ~weights ~matrices in
+  let classes = Array.length weights in
+  let m = Graph.arc_count g in
+  let links = Graph.undirected_link_pairs g in
+  let commits = ref 0 in
+  let random_value w a =
+    match Prng.int rng 6 with
+    | 0 -> Weights.min_weight
+    | 1 -> Weights.max_weight
+    | _ ->
+        let v = ref (Prng.int_incl rng Weights.min_weight Weights.max_weight) in
+        if !v = w.(a) then v := if w.(a) = Weights.max_weight then 1 else w.(a) + 1;
+        !v
+  in
+  let verify_probe ~klass changes p =
+    let fresh = fresh_phi ctx ~matrices ~dest_mode ~klass changes in
+    check_bits ~what:(what ^ ": probe phi") (Eval_ctx.phi fresh) (Eval_ctx.probe_phi p);
+    fresh
+  in
+  for op = 1 to ops do
+    let what = Printf.sprintf "%s op %d" what op in
+    let klass = Prng.int rng classes in
+    let w = Eval_ctx.weights ctx klass in
+    match Prng.int rng 10 with
+    | 0 | 1 | 2 | 3 ->
+        (* One- to four-arc probe, committed or aborted. *)
+        let changes =
+          List.init (1 + Prng.int rng 4) (fun _ ->
+              let a = Prng.int rng m in
+              (a, random_value w a))
+        in
+        let p = Eval_ctx.probe ctx ~klass ~changes in
+        ignore (verify_probe ~klass changes p);
+        if Prng.bool rng then begin
+          Eval_ctx.commit ctx p;
+          incr commits;
+          check_ctx_state ~what ctx ~matrices ~dest_mode
+        end
+        else Eval_ctx.abort ctx p
+    | 4 ->
+        (* Raise every tight out-arc of one node towards one destination
+           at once: distances upstream must grow. *)
+        let dags = Eval_ctx.dags ctx klass in
+        let t = Prng.int rng (Graph.node_count g) in
+        if not (Spf.is_placeholder dags.(t)) then begin
+          let u = Prng.int rng (Graph.node_count g) in
+          let tight = Array.to_list dags.(t).Spf.next_arcs.(u) in
+          if tight <> [] then begin
+            let changes =
+              List.map (fun a -> (a, min Weights.max_weight (w.(a) + 1 + Prng.int rng 10))) tight
+            in
+            let p = Eval_ctx.probe ctx ~klass ~changes in
+            ignore (verify_probe ~klass changes p);
+            Eval_ctx.commit ctx p;
+            incr commits;
+            check_ctx_state ~what ctx ~matrices ~dest_mode
+          end
+        end
+    | 5 ->
+        (* Stale probes: only the first of two sibling probes commits. *)
+        let a = Prng.int rng m in
+        let p1 = Eval_ctx.probe ctx ~klass ~changes:[ (a, random_value w a) ] in
+        let p2 = Eval_ctx.probe ctx ~klass ~changes:[ (a, random_value w a) ] in
+        Eval_ctx.commit ctx p1;
+        incr commits;
+        Alcotest.check_raises (what ^ ": stale commit")
+          (Invalid_argument "Eval_ctx.commit: stale probe (context has moved on)")
+          (fun () -> Eval_ctx.commit ctx p2);
+        Alcotest.check_raises (what ^ ": stale rows")
+          (Invalid_argument "Eval_ctx.probe_phi_row: stale probe")
+          (fun () -> ignore (Eval_ctx.probe_phi_row ctx p2 klass));
+        check_ctx_state ~what ctx ~matrices ~dest_mode
+    | 6 | 7 ->
+        check_failure ~what ctx ~matrices ~link:(Prng.choose rng links)
+    | _ ->
+        (* Rows materialized on demand match a fresh evaluation. *)
+        let a = Prng.int rng m in
+        let changes = [ (a, random_value w a) ] in
+        let p = Eval_ctx.probe ctx ~klass ~changes in
+        let fresh = verify_probe ~klass changes p in
+        for k = 0 to classes - 1 do
+          check_bits ~what:(Printf.sprintf "%s: probe phi row %d" what k)
+            (Eval_ctx.phi_per_arc fresh k) (Eval_ctx.probe_phi_row ctx p k);
+          let pd = Eval_ctx.probe_dags ctx p k and fd = Eval_ctx.dags fresh k in
+          Array.iteri
+            (fun t d ->
+              if not (Spf.is_placeholder d) then
+                check_dag_equal ~what:(Printf.sprintf "%s: probe dag %d/%d" what k t) d pd.(t))
+            fd
+        done;
+        Eval_ctx.abort ctx p
+  done;
+  if !commits = 0 then Alcotest.failf "%s: no commit in %d ops" what ops
+
+let test_long_commit_sequences () =
+  let graphs =
+    [ ("random 5", random_graph 5); ("random 6", random_graph 6);
+      ("random 7", random_graph 7); ("parallel ring", parallel_ring ());
+      ("bridge", bridge_graph ()) ]
+  in
+  List.iteri
+    (fun gi (name, g) ->
+      let n = Graph.node_count g in
+      let rng = Prng.create (100 + gi) in
+      let th, tl = random_matrices rng g in
+      let zero = Matrix.create n in
+      let wa = Weights.random rng g and wb = Weights.random rng g in
+      List.iter
+        (fun (setup, weights, matrices, dest_mode) ->
+          stress_ops
+            ~what:(Printf.sprintf "%s %s" name setup)
+            g ~weights ~matrices ~dest_mode ~seed:(gi + 1) ~ops:200)
+        [
+          ("dtr/all", [| Array.copy wa; Array.copy wb |], [| th; tl |], Eval_ctx.All);
+          ("str/demand", (let w = Array.copy wa in [| w; w |]), [| th; tl |], Eval_ctx.Demand);
+          ( "3-class zero-demand/demand",
+            (let w = Array.copy wb in [| w; Array.copy wa; w |]),
+            [| th; zero; tl |],
+            Eval_ctx.Demand );
+          ("3-class zero-demand/all", [| Array.copy wa; Array.copy wb; Array.copy wa |],
+            [| th; tl; zero |], Eval_ctx.All);
+        ])
+    graphs
+
 let () =
   Alcotest.run "delta"
     [
@@ -521,6 +948,15 @@ let () =
           QCheck_alcotest.to_alcotest (test_eval_ctx_three_classes ());
           Alcotest.test_case "stale probe rejected" `Quick
             test_eval_ctx_stale_probe;
+          Alcotest.test_case "revisited arc: last value wins" `Quick
+            test_eval_ctx_revisited_arc;
+          Alcotest.test_case "long seeded commit sequences" `Quick
+            test_long_commit_sequences;
+        ] );
+      ( "repropagate",
+        [
+          Alcotest.test_case "sub-DAG flow order = full walk" `Quick
+            test_repropagate_flow_order;
         ] );
       ( "problem",
         [

@@ -437,6 +437,23 @@ let test_bucket_queue_rewinds () =
   Alcotest.(check (option (pair int int))) "low prio found" (Some (3, 2))
     (Bucket_queue.pop_min q)
 
+let test_bucket_queue_pop_value () =
+  (* The allocation-free pop agrees with pop_min, starting high. *)
+  let q = Bucket_queue.create ~capacity:4 () in
+  List.iter (fun (p, v) -> Bucket_queue.add q ~prio:p v) [ (900, 1); (700, 2); (900, 3) ];
+  let v = Bucket_queue.pop_min_value q in
+  Alcotest.(check (pair int int)) "least first" (700, 2) (Bucket_queue.last_prio q, v);
+  Bucket_queue.add q ~prio:5 4;
+  let v = Bucket_queue.pop_min_value q in
+  Alcotest.(check (pair int int)) "rewinds" (5, 4) (Bucket_queue.last_prio q, v);
+  let a = Bucket_queue.pop_min_value q in
+  let b = Bucket_queue.pop_min_value q in
+  Alcotest.(check (list int)) "ties drain" [ 1; 3 ] (List.sort compare [ a; b ]);
+  Alcotest.(check int) "tie priority" 900 (Bucket_queue.last_prio q);
+  Alcotest.check_raises "empty"
+    (Invalid_argument "Bucket_queue.pop_min_value: empty queue") (fun () ->
+      ignore (Bucket_queue.pop_min_value q))
+
 let test_bucket_queue_rejects_negative () =
   let q = Bucket_queue.create () in
   Alcotest.check_raises "negative priority"
@@ -627,6 +644,8 @@ let () =
             test_bucket_queue_clear_reuse;
           Alcotest.test_case "rewinds below cursor" `Quick
             test_bucket_queue_rewinds;
+          Alcotest.test_case "allocation-free pop" `Quick
+            test_bucket_queue_pop_value;
           Alcotest.test_case "rejects negative priority" `Quick
             test_bucket_queue_rejects_negative;
           qc prop_bucket_queue_sorts;
