@@ -26,8 +26,9 @@ type row = {
   probe_evals_per_sec : float;
       (** probes / total probe time, i.e. [1e9 / probe_ns_mean] — the
           sustained rate.  Never derived from a percentile: at this
-          scale the latency is bimodal (screen-only probes vs. SPF
-          reruns), so [1e9 / p50] overstates it many times over. *)
+          scale the latency is bimodal (screen-only probes vs. probes
+          whose distance labels move), so [1e9 / p50] overstates it
+          many times over. *)
   peak_rss_kb : int;
       (** process high-water mark after this row; per-row attribution
           holds because {!run} orders rows by ascending node count *)

@@ -180,7 +180,6 @@ let repropagate s g ~prev ~dag ~changed ~demand_to_dst ~flow ~contrib =
   s.out_node_len <- 0;
   s.out_arc_len <- 0;
   let e = s.epoch in
-  let t = dag.Spf.dst in
   let dsts = Graph.dsts g and srcs = Graph.srcs g in
   let in_off = Graph.in_offsets g and in_ids = Graph.in_arc_ids g in
   let mark = s.mark and nodes = s.nodes and new_flow = s.new_flow in
@@ -224,7 +223,7 @@ let repropagate s g ~prev ~dag ~changed ~demand_to_dst ~flow ~contrib =
           done;
           if !member then begin
             let p = ref !k in
-            while !p > 0 && Spf.precedes dist z srcs.(s.ins.(!p - 1)) do
+            while !p > 0 && Spf.precedes dist z srcs.(ins.(!p - 1)) do
               ins.(!p) <- ins.(!p - 1);
               decr p
             done;
@@ -257,7 +256,8 @@ let repropagate s g ~prev ~dag ~changed ~demand_to_dst ~flow ~contrib =
         let share = fv /. float_of_int deg in
         for j = 0 to deg - 1 do
           let u = dsts.(out.(j)) in
-          if u <> t && mark.(u) = e then new_flow.(u) <- new_flow.(u) +. share
+          (* The destination is never in the set: it absorbs flow. *)
+          if mark.(u) = e then new_flow.(u) <- new_flow.(u) +. share
         done
       end
     done
