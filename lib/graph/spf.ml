@@ -41,11 +41,11 @@ let node_next_arcs g ~weights ~dist v =
 (* Decreasing distance, ties by increasing node id: the one definition
    of the traversal order, shared by the from-scratch build and the
    incremental updates. *)
-let precedes dist a b =
+let precedes (dist : int array) a b =
   let da = dist.(a) and db = dist.(b) in
   da > db || (da = db && a < b)
 
-let sort_order ~dist buf len =
+let sort_order ~(dist : int array) buf len =
   if len <= 32 then
     (* Insertion sort: the sets sorted incrementally are a handful of
        nodes. *)
@@ -59,7 +59,10 @@ let sort_order ~dist buf len =
       buf.(!j) <- x
     done
   else begin
-    let cmp x y = if x = y then 0 else if precedes dist x y then -1 else 1 in
+    let cmp x y =
+      let c = compare dist.(y) dist.(x) in
+      if c <> 0 then c else compare x y
+    in
     if len = Array.length buf then Array.sort cmp buf
     else begin
       let a = Array.sub buf 0 len in
