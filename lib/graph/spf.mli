@@ -36,8 +36,8 @@ val node_next_arcs :
   Graph.t -> weights:int array -> dist:int array -> int -> int array
 (** The ECMP next-hop arc set of one node, filtered from its out-arcs
     in arc-id order: all arcs [(v, u)] with [w(v,u) + dist(u) =
-    dist(v)].  The per-node step of {!of_dist}, exposed for
-    {!Spf_delta}'s membership-only patches. *)
+    dist(v)].  The per-node step of {!of_dist}, exposed for the rows
+    {!Spf_delta} re-filters. *)
 
 val precedes : int array -> int -> int -> bool
 (** [precedes dist a b]: node [a] comes before [b] in the traversal
@@ -46,8 +46,9 @@ val precedes : int array -> int -> int -> bool
 
 val sort_order : dist:int array -> int array -> int -> unit
 (** [sort_order ~dist buf len] sorts [buf.(0 .. len-1)] in place into
-    the {!precedes} order (for the small node sets of incremental
-    updates; no allocation up to 32 nodes). *)
+    the {!precedes} order — how {!of_dist} builds [order_desc] and how
+    incremental updates order the few nodes they touch (insertion sort,
+    no allocation, up to 32 nodes). *)
 
 val all_destinations :
   ?ws:Dijkstra.workspace -> Graph.t -> weights:int array -> dag array

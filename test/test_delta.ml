@@ -545,31 +545,16 @@ let test_eval_ctx_revisited_arc () =
 (* ------------------------------------------------------------------ *)
 (* Sub-DAG flow re-propagation vs the full walk *)
 
-let bits_equal a b =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-       a b
-
+(* Bitwise float comparison (unlike [=], tells 0. from -0.). *)
 let check_bits ~what expected actual =
-  if not (bits_equal expected actual) then begin
-    let i = ref 0 in
-    while
-      !i < Array.length expected
-      && !i < Array.length actual
-      && Int64.equal
-           (Int64.bits_of_float expected.(!i))
-           (Int64.bits_of_float actual.(!i))
-    do
-      incr i
-    done;
-    if !i < Array.length expected && !i < Array.length actual then
-      Alcotest.failf "%s: index %d: %.17g vs %.17g" what !i expected.(!i)
-        actual.(!i)
-    else
-      Alcotest.failf "%s: lengths %d vs %d" what (Array.length expected)
-        (Array.length actual)
-  end
+  if Array.length expected <> Array.length actual then
+    Alcotest.failf "%s: lengths %d vs %d" what (Array.length expected)
+      (Array.length actual);
+  Array.iteri
+    (fun i x ->
+      if not (Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float actual.(i)))
+      then Alcotest.failf "%s: index %d: %.17g vs %.17g" what i x actual.(i))
+    expected
 
 (* A chain of [k] diamonds (entry -> two middles -> exit) with every
    rung doubled by a parallel arc, and a back arc per rung so weight
