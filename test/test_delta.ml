@@ -938,7 +938,7 @@ let () =
           Alcotest.test_case "long seeded commit sequences" `Quick
             test_long_commit_sequences;
         ] );
-      ( "repropagate",
+      ( "subdag",
         [
           Alcotest.test_case "sub-DAG flow order = full walk" `Quick
             test_repropagate_flow_order;
