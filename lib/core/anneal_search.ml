@@ -79,7 +79,9 @@ let anneal_phase ?(trace = Trace.disabled) ?(detail = 0) ?(counts0 = (0, 0, 0))
         current := cand;
         e_cur := e_cand;
         incr accepted;
-        if Lexico.lt ~rel_tol:1e-9 (Problem.objective cand) (Problem.objective !best)
+        if
+          Lexico.lt ~rel_tol:Search_config.rel_tol (Problem.objective cand)
+            (Problem.objective !best)
         then best := cand
       end
       else Problem.abort_delta ctx d;
@@ -139,7 +141,9 @@ let run ?(schedule = default_schedule) ?w0 ?(trace = Trace.disabled) rng cfg
   (* Fix the best W_H found, then anneal W_L against Φ_L. *)
   current :=
     Problem.eval_dtr problem ~wh:!best.Problem.wh ~wl:!current.Problem.wl;
-  if Lexico.lt ~rel_tol:1e-9 (Problem.objective !current) (Problem.objective !best)
+  if
+    Lexico.lt ~rel_tol:Search_config.rel_tol (Problem.objective !current)
+      (Problem.objective !best)
   then best := !current;
   let acc2 =
     anneal_phase ~trace ~detail:1 ~counts0 rng cfg schedule problem

@@ -3,14 +3,7 @@ module Vmemo = Dtr_util.Vmemo
 module Lexico = Dtr_cost.Lexico
 module Weights = Dtr_routing.Weights
 
-(* Primary costs within this relative tolerance are considered equal,
-   letting the lexicographic tie-break (the secondary cost) fire: at
-   low load exponentially many weight settings attain the optimal
-   primary cost and differ only in low-priority cost, but accumulated
-   floating-point sums of the primary differ in the last bits. *)
-let rel_tol = 1e-9
-
-let lex_lt a b = Lexico.lt ~rel_tol a b
+let lex_lt a b = Lexico.lt ~rel_tol:Search_config.rel_tol a b
 
 type phase = Optimize_h | Optimize_l | Refine
 
@@ -212,6 +205,12 @@ let run ?w0 ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem =
      normal mode it mirrors the best's normal objective, so the report
      and phase summaries can read it unconditionally. *)
   let best_j = ref (Problem.objective !best) in
+  (* Worst-first failure order, carried across this run's sweeps. *)
+  let failure_order = Problem.failure_order problem in
+  let robust_price ?best (r : Search_config.robust) ~normal =
+    Problem.robust_price ?best ~order:failure_order problem !ctx
+      ~alpha:r.Search_config.alpha ~top_k:r.Search_config.top_k ~normal
+  in
   let stall = ref 0 in
   let notify phase iteration =
     match on_progress with
@@ -245,12 +244,11 @@ let run ?w0 ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem =
         ~memo_misses:(Vmemo.misses memo) ()
     end
   in
-  let tell_sweep ~iteration ~detail ~normal ~(rp : Problem.robust_price)
-      ~accepted =
+  let tell_sweep ~iteration ~normal ~(rp : Problem.robust_price) ~accepted =
     if Trace.enabled trace then begin
       let e, f, d = Problem.domain_eval_counts () in
-      Trace.emit trace ~kind:Trace.Robust_sweep ~iteration ~detail
-        ~accepted ~before:(Trace.pair normal)
+      Trace.emit trace ~kind:Trace.Robust_sweep ~iteration
+        ~detail:rp.Problem.rp_infinite ~accepted ~before:(Trace.pair normal)
         ~after:(Trace.pair rp.Problem.rp_objective) ~best:(Trace.pair !best_j)
         ~evaluations:(e - eval0) ~full:(f - full0) ~delta:(d - delta0)
         ~memo_hits:(Vmemo.hits memo) ~memo_misses:(Vmemo.misses memo)
@@ -261,10 +259,12 @@ let run ?w0 ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem =
      candidate is swept only when its normal cost beats the robust
      best: J >= normal componentwise, so nothing better can hide
      behind a worse normal cost, and sweeps grow rarer as the robust
-     best tightens.  [moved] skips candidates the pass left in place;
-     [count] distinguishes loop sites (improvement/stall bookkeeping)
-     from the inter-routine reconciliation, which keeps none. *)
-  let consider_best ~iteration ~detail ~moved ~count =
+     best tightens.  The sweep itself stops once its penalty bound
+     loses to the best.  [moved] skips candidates the pass left in
+     place; [count] distinguishes loop sites (improvement/stall
+     bookkeeping) from the inter-routine reconciliation, which keeps
+     none. *)
+  let consider_best ~iteration ~moved ~count =
     let on_improve () =
       if count then begin
         incr improvements;
@@ -283,16 +283,15 @@ let run ?w0 ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem =
     | Some r ->
         let normal = Problem.objective !current in
         if moved && lex_lt normal !best_j then begin
-          let rp =
-            Problem.robust_price problem !ctx ~alpha:r.Search_config.alpha
-              ~top_k:r.Search_config.top_k ~normal
+          let rp = robust_price ~best:!best_j r ~normal in
+          let improved =
+            rp.Problem.rp_complete && lex_lt rp.Problem.rp_objective !best_j
           in
-          let improved = lex_lt rp.Problem.rp_objective !best_j in
           if improved then begin
             best := !current;
             best_j := rp.Problem.rp_objective
           end;
-          tell_sweep ~iteration ~detail ~normal ~rp ~accepted:improved;
+          tell_sweep ~iteration ~normal ~rp ~accepted:improved;
           if improved then on_improve () else on_reject ()
         end
         else on_reject ()
@@ -303,12 +302,9 @@ let run ?w0 ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem =
   | None -> ()
   | Some r ->
       let normal = Problem.objective !current in
-      let rp =
-        Problem.robust_price problem !ctx ~alpha:r.Search_config.alpha
-          ~top_k:r.Search_config.top_k ~normal
-      in
+      let rp = robust_price r ~normal in
       best_j := rp.Problem.rp_objective;
-      tell_sweep ~iteration:0 ~detail:0 ~normal ~rp ~accepted:true);
+      tell_sweep ~iteration:0 ~normal ~rp ~accepted:true);
 
   (* Routine 1: optimize W_H with W_L frozen.  [stop] is polled after
      every completed iteration (so at least one always runs); once it
@@ -323,8 +319,7 @@ let run ?w0 ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem =
       current :=
         find_h_ctx scan ~memo ~trace:probe_trace ~rcache:rcache_h ~ht_arc
           ~ht_cand rng cfg problem !ctx !current;
-      consider_best ~iteration ~detail:0 ~moved:(not (prev == !current))
-        ~count:true;
+      consider_best ~iteration ~moved:(not (prev == !current)) ~count:true;
       tell Trace.Find_h ~iteration ~detail:0 ~before ~prev;
       if !stall >= cfg.Search_config.diversify_after then begin
         let before = Problem.objective !current in
@@ -349,7 +344,7 @@ let run ?w0 ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem =
   current :=
     Problem.eval_dtr problem ~wh:!best.Problem.wh ~wl:!current.Problem.wl;
   ctx := Problem.ctx_of_solution problem !current;
-  consider_best ~iteration:0 ~detail:1 ~moved:true ~count:false;
+  consider_best ~iteration:0 ~moved:true ~count:false;
   stall := 0;
   for iteration = 1 to cfg.Search_config.n_iters do
     if not !stopped then begin
@@ -358,8 +353,7 @@ let run ?w0 ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem =
       current :=
         find_l_ctx scan ~memo ~trace:probe_trace ~rcache:rcache_l ~ht_arc
           ~ht_cand rng cfg problem !ctx !current;
-      consider_best ~iteration ~detail:1 ~moved:(not (prev == !current))
-        ~count:true;
+      consider_best ~iteration ~moved:(not (prev == !current)) ~count:true;
       tell Trace.Find_l ~iteration ~detail:1 ~before ~prev;
       if !stall >= cfg.Search_config.diversify_after then begin
         let before = Problem.objective !current in
@@ -397,7 +391,7 @@ let run ?w0 ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem =
       current :=
         find_l_ctx scan ~memo ~trace:probe_trace ~rcache:rcache_l ~ht_arc
           ~ht_cand rng cfg problem !ctx !current;
-      consider_best ~iteration ~detail:2
+      consider_best ~iteration
         ~moved:(not (prev_h == !current) || not (prev_l == !current))
         ~count:true;
       tell Trace.Find_l ~iteration ~detail:2 ~before:before_l ~prev:prev_l;

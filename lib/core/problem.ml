@@ -433,9 +433,9 @@ let abort_delta ctx d = Eval_ctx.abort ctx.ec d.d_probe
 (* Failure-robust pricing: one single-link sweep against the context's
    current weights, aggregated into the robust objective
    J = normal + alpha * penalty.  The sweep runs sequentially on the
-   calling domain (its cost is bounded by the pruning rule in the
-   search loops: J >= normal, so only candidates whose normal cost
-   beats the robust best are ever swept). *)
+   calling domain.  The searches sweep only candidates whose normal
+   cost beats the robust best (J >= normal), and a sweep given that
+   best stops as soon as its penalty bound already loses to it. *)
 
 module Failure_sweep = Dtr_routing.Failure_sweep
 
@@ -443,16 +443,98 @@ type robust_price = {
   rp_objective : Lexico.t;  (* J = normal + alpha * penalty *)
   rp_penalty : Lexico.t;  (* mean of the top_k worst finite failures *)
   rp_infinite : int;  (* failures priced as infinite (severed demand) *)
+  rp_complete : bool;  (* false: a cut-short sweep, the fields are bounds *)
 }
+
+type failure_order = { mutable fo_links : int array }
+
+let failure_order t =
+  let links = Graph.undirected_link_pairs t.graph in
+  { fo_links = Array.init (Array.length links) Fun.id }
 
 let failure_outcomes ?pool t ctx =
   Failure_sweep.sweep ?pool ~model:t.model ~th:t.th ctx.ec
 
-let robust_price t ctx ~alpha ~top_k ~normal =
-  let outcomes = failure_outcomes t ctx in
-  let penalty = Failure_sweep.penalty ~top_k outcomes in
-  {
-    rp_objective = Lexico.add normal (Lexico.scale alpha penalty);
-    rp_penalty = penalty;
-    rp_infinite = Failure_sweep.infinite_count outcomes;
-  }
+(* Finite outcomes in descending Lexico order, infinite ones last;
+   the stable sort keeps ties in link order. *)
+let worst_first (outcomes : Failure_sweep.outcome array) =
+  let order = Array.init (Array.length outcomes) Fun.id in
+  Array.stable_sort
+    (fun i j ->
+      let a = outcomes.(i) and b = outcomes.(j) in
+      match (Failure_sweep.is_finite a, Failure_sweep.is_finite b) with
+      | true, true ->
+          Lexico.compare b.Failure_sweep.cost a.Failure_sweep.cost
+      | true, false -> -1
+      | false, true -> 1
+      | false, false -> 0)
+    order;
+  order
+
+let move_to_front order link =
+  let rec pos p = if order.(p) = link then p else pos (p + 1) in
+  let p = pos 0 in
+  Array.blit order 0 order 1 p;
+  order.(0) <- link
+
+(* Insert [x] into the descending list [l], keeping its [k] largest. *)
+let insert_top k x l =
+  let rec ins = function
+    | y :: rest when x < y -> y :: ins rest
+    | l -> x :: l
+  in
+  List.filteri (fun i _ -> i < k) (ins l)
+
+let robust_price ?best ?order t ctx ~alpha ~top_k ~normal =
+  if top_k < 1 then invalid_arg "Problem.robust_price: top_k must be >= 1";
+  (* Lower bound on J's primary from the failures priced so far: Φ
+     and Λ are >= 0 and infinite outcomes stay out of the penalty, so
+     the top_k largest finite primaries seen, summed and divided by
+     top_k, never exceed the final penalty's primary. *)
+  let top = ref [] and infinite = ref 0 and last = ref (-1) in
+  let pen_bound = ref 0. and bound = ref normal.Lexico.primary in
+  let stop link (o : Failure_sweep.outcome) =
+    last := link;
+    if not (Failure_sweep.is_finite o) then begin
+      incr infinite;
+      false
+    end
+    else begin
+      top := insert_top top_k o.Failure_sweep.cost.Lexico.primary !top;
+      pen_bound := List.fold_left ( +. ) 0. !top /. float_of_int top_k;
+      bound := normal.Lexico.primary +. (alpha *. !pen_bound);
+      match best with
+      | None -> false
+      | Some (b : Lexico.t) ->
+          (* Twice the comparison tolerance: the bound is only a bound,
+             and Lexico.lt's tolerance is not transitive. *)
+          let tol =
+            2. *. Search_config.rel_tol
+            *. Float.max 1.
+                 (Float.max (Float.abs !bound) (Float.abs b.Lexico.primary))
+          in
+          !bound > b.Lexico.primary +. tol
+    end
+  in
+  let visit = Option.map (fun o -> o.fo_links) order in
+  match
+    Failure_sweep.sweep_until ~model:t.model ?order:visit ~stop ~th:t.th ctx.ec
+  with
+  | Some outcomes ->
+      Option.iter (fun o -> o.fo_links <- worst_first outcomes) order;
+      let penalty = Failure_sweep.penalty ~top_k outcomes in
+      {
+        rp_objective = Lexico.add normal (Lexico.scale alpha penalty);
+        rp_penalty = penalty;
+        rp_infinite = Failure_sweep.infinite_count outcomes;
+        rp_complete = true;
+      }
+  | None ->
+      Option.iter (fun o -> move_to_front o.fo_links !last) order;
+      {
+        rp_objective =
+          Lexico.make ~primary:!bound ~secondary:normal.Lexico.secondary;
+        rp_penalty = Lexico.make ~primary:!pen_bound ~secondary:0.;
+        rp_infinite = !infinite;
+        rp_complete = false;
+      }

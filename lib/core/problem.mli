@@ -197,9 +197,26 @@ type robust_price = {
       (** mean of the [top_k] worst finite post-failure costs *)
   rp_infinite : int;
       (** failures priced as infinite (they sever positive demand) *)
+  rp_complete : bool;
+      (** [false] when the sweep was cut short by [~best]: then
+          [rp_objective] is the lower bound [(bound, normal's
+          secondary)], [rp_penalty] is [(penalty-primary bound, 0)]
+          and [rp_infinite] counts the infinite failures seen so far *)
 }
 
+type failure_order
+(** A mutable worst-first visiting order over the single-link
+    failures, carried from one {!robust_price} to the next.  Each
+    search run owns one, so the order is a pure function of that run's
+    trajectory (and of nothing another run or domain does). *)
+
+val failure_order : t -> failure_order
+(** A fresh order over the problem's links: link order
+    ({!Dtr_graph.Graph.undirected_link_pairs}). *)
+
 val robust_price :
+  ?best:Dtr_cost.Lexico.t ->
+  ?order:failure_order ->
   t ->
   ctx ->
   alpha:float ->
@@ -209,7 +226,26 @@ val robust_price :
 (** One sequential single-link sweep against the context's current
     weights, aggregated into the robust objective.  [normal] is the
     caller's current normal-cost objective (already known to every
-    search loop; not recomputed).  Pure: the context is unchanged. *)
+    search loop; not recomputed).  Pure: the context is unchanged.
+
+    [best] is the caller's robust incumbent.  After each finite failure
+    the sweep has the lower bound
+    [bound = normal.primary + alpha * (sum of the top_k largest finite
+    primaries seen) / top_k] on [J]'s primary (costs are [>= 0] and
+    infinite outcomes stay out of the penalty), and it stops as soon as
+    [bound > best.primary + 2 * Search_config.rel_tol * max(1, |bound|,
+    |best.primary|)] — a candidate the full sweep would also reject,
+    since then [J] is not [Lexico.lt ~rel_tol] [best].  The result is
+    then marked [rp_complete = false] and holds bounds.  A sweep that
+    completes is bitwise the sweep without [best].
+
+    [order] sets the visiting order and is updated by the sweep: a
+    completed sweep leaves its finite outcomes in descending
+    [Lexico.compare] order (ties in link order) followed by the
+    infinite ones; a cut-short sweep moves the failure that cut it to
+    the front.  Visiting order changes which failures a cut-short sweep
+    prices, never a completed sweep's result.
+    @raise Invalid_argument if [top_k < 1]. *)
 
 val evaluations : unit -> int
 (** Process-wide count of objective evaluations performed through this

@@ -4,6 +4,13 @@
    (Failure_sweep.penalty).  top_k = 1 is the pure worst case. *)
 type robust = { alpha : float; top_k : int }
 
+(* Primary costs within this relative tolerance are considered equal,
+   letting the lexicographic tie-break (the secondary cost) fire: at
+   low load exponentially many weight settings attain the optimal
+   primary cost and differ only in low-priority cost, but accumulated
+   floating-point sums of the primary differ in the last bits. *)
+let rel_tol = 1e-9
+
 type t = {
   n_iters : int;
   k_iters : int;

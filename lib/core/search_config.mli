@@ -17,6 +17,13 @@ type robust = {
 }
 (** Failure-robust search mode (CLI [--robust single-link]). *)
 
+val rel_tol : float
+(** Relative tolerance of every incumbent comparison the searches make
+    ([Lexico.lt ~rel_tol], [1e-9]): primaries this close are equal and
+    the secondary cost decides.  Accumulated floating-point sums of the
+    primary differ in the last bits between settings that are equal in
+    exact arithmetic; the tolerance lets the tie-break fire there. *)
+
 type t = {
   n_iters : int;  (** [N]: iterations of routines 1 and 2 each *)
   k_iters : int;  (** [K]: iterations of the refinement routine *)

@@ -6,11 +6,7 @@ module Objective = Dtr_routing.Objective
 module Weights = Dtr_routing.Weights
 module Evaluate = Dtr_routing.Evaluate
 
-(* See Dtr_search: tolerant primary comparison enables the
-   lexicographic tie-break. *)
-let rel_tol = 1e-9
-
-let lex_lt a b = Lexico.lt ~rel_tol a b
+let lex_lt a b = Lexico.lt ~rel_tol:Search_config.rel_tol a b
 
 type archive_point = { phi_h : float; phi_l : float; w : int array }
 
@@ -151,6 +147,12 @@ let run ?w0 ?iters ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem
      normal mode it simply mirrors the best's normal objective, so the
      report can read it unconditionally. *)
   let best_j = ref (Problem.objective !best) in
+  (* Worst-first failure order, carried across this run's sweeps. *)
+  let failure_order = Problem.failure_order problem in
+  let robust_price ?best (r : Search_config.robust) ~normal =
+    Problem.robust_price ?best ~order:failure_order problem ctx
+      ~alpha:r.Search_config.alpha ~top_k:r.Search_config.top_k ~normal
+  in
   let improvements = ref 0 in
   let stall = ref 0 in
   let n_vals = Weights.max_weight - Weights.min_weight in
@@ -184,7 +186,8 @@ let run ?w0 ?iters ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem
   (* Robust-mode incumbent update.  A candidate is swept only when its
      normal cost beats the robust best: J >= normal componentwise, so
      nothing better can hide behind a worse normal cost, and the sweep
-     frequency decays as the robust best tightens.  [moved] skips
+     frequency decays as the robust best tightens.  The sweep itself
+     stops once its penalty bound loses to the best.  [moved] skips
      candidates the iteration left in place (their J was priced when
      they were accepted). *)
   let consider_best ~iteration ~moved ~count =
@@ -200,11 +203,10 @@ let run ?w0 ?iters ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem
     | Some r ->
         let normal = Problem.objective !current in
         if moved && lex_lt normal !best_j then begin
-          let rp =
-            Problem.robust_price problem ctx ~alpha:r.Search_config.alpha
-              ~top_k:r.Search_config.top_k ~normal
+          let rp = robust_price ~best:!best_j r ~normal in
+          let improved =
+            rp.Problem.rp_complete && lex_lt rp.Problem.rp_objective !best_j
           in
-          let improved = lex_lt rp.Problem.rp_objective !best_j in
           if improved then begin
             best := !current;
             best_j := rp.Problem.rp_objective;
@@ -222,10 +224,7 @@ let run ?w0 ?iters ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem
   | None -> ()
   | Some r ->
       let normal = Problem.objective !current in
-      let rp =
-        Problem.robust_price problem ctx ~alpha:r.Search_config.alpha
-          ~top_k:r.Search_config.top_k ~normal
-      in
+      let rp = robust_price r ~normal in
       best_j := rp.Problem.rp_objective;
       tell_sweep ~iteration:0 ~normal ~rp ~accepted:true);
   (* Loop-invariant tables: the rank sampler depends only on (tau, m)

@@ -38,7 +38,11 @@ type kind =
           failures priced as infinite; [value] = failure penalty's
           primary component; [before]/[after] = normal vs. robust
           objective of the swept candidate; [accepted] = became the
-          robust best) *)
+          robust best).  A sweep cut short by its penalty bound
+          ({!Problem.robust_price} with [~best]) is never accepted,
+          and its [after], [value] and [detail] are lower bounds:
+          [(bound, normal's secondary)], the penalty-primary bound,
+          and the infinite failures seen before the cut. *)
 
 val kind_name : kind -> string
 

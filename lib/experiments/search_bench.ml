@@ -14,8 +14,6 @@ module Large = Dtr_topology.Large
 module Problem = Dtr_core.Problem
 module Multistart = Dtr_core.Multistart
 
-let rel_tol = 1e-9
-
 type row = {
   preset : string;
   algo : string;
@@ -93,7 +91,10 @@ let run ?(cfg = Dtr_core.Search_config.quick) ?(seed = 1) ?time_budget
     (* Time to first improvement over the starting objective. *)
     let ttfi =
       List.fold_left
-        (fun acc (t, best) -> if Lexico.lt ~rel_tol best o0 then Some t else acc)
+        (fun acc (t, best) ->
+          if Lexico.lt ~rel_tol:Dtr_core.Search_config.rel_tol best o0 then
+            Some t
+          else acc)
         None m.history
     in
     let elapsed = t_stop -. m.t0 in

@@ -19,6 +19,13 @@ let m_infinite =
     ~help:"Link failures priced as infinite (severed positive demand)."
     "dtr_failure_infinite_total"
 
+let m_pruned =
+  Metrics.counter
+    ~help:
+      "Failure sweeps cut short because their penalty bound already lost \
+       to the robust incumbent."
+    "dtr_failure_sweeps_pruned_total"
+
 type outcome = { cost : Lexico.t; unreachable_pairs : int }
 
 let is_finite o = o.unreachable_pairs = 0
@@ -53,14 +60,65 @@ let eval_link ~model ~th ~links ctx i =
   let arcs = if a = b then [ a ] else [ a; b ] in
   price ~model ~th ctx (Eval_ctx.fail_probe ctx ~arcs)
 
-let sweep ?pool ?(model = Objective.Load) ~th ctx =
+let no_outcome = { cost = Lexico.zero; unreachable_pairs = 0 }
+
+(* The one sweep loop: price the links of [order] in sequence into
+   [out] (indexed by link), stopping after the first failure [stop]
+   holds for.  Returns whether [stop] fired. *)
+let visit ~model ~th ~links ctx ~out ~order ~stop =
+  let stopped = ref false and p = ref 0 in
+  while (not !stopped) && !p < Array.length order do
+    let i = order.(!p) in
+    let o = eval_link ~model ~th ~links ctx i in
+    out.(i) <- o;
+    stopped := stop i o;
+    incr p
+  done;
+  !stopped
+
+let never _ _ = false
+
+(* Validate the context, count the sweep, and list its links. *)
+let start ctx =
   if Eval_ctx.class_count ctx <> 2 then
-    invalid_arg "Failure_sweep.sweep: need a 2-class context";
+    invalid_arg "Failure_sweep: need a 2-class context";
   Metrics.incr_counter m_sweeps;
-  let links = Graph.undirected_link_pairs (Eval_ctx.graph ctx) in
+  Graph.undirected_link_pairs (Eval_ctx.graph ctx)
+
+let check_permutation k order =
+  let seen = Array.make k false in
+  let fail () =
+    invalid_arg "Failure_sweep.sweep_until: order is not a permutation"
+  in
+  if Array.length order <> k then fail ();
+  Array.iter
+    (fun i ->
+      if i < 0 || i >= k || seen.(i) then fail ();
+      seen.(i) <- true)
+    order
+
+let sweep_until ?(model = Objective.Load) ?order ~stop ~th ctx =
+  let links = start ctx in
   let k = Array.length links in
+  let order =
+    match order with
+    | None -> Array.init k Fun.id
+    | Some order ->
+        check_permutation k order;
+        order
+  in
+  let out = Array.make k no_outcome in
+  if visit ~model ~th ~links ctx ~out ~order ~stop then begin
+    Metrics.incr_counter m_pruned;
+    None
+  end
+  else Some out
+
+let sweep ?pool ?(model = Objective.Load) ~th ctx =
   match pool with
   | Some p when Pool.jobs p > 1 ->
+      let links = start ctx in
+      let k = Array.length links in
       (* Contiguous chunks, one clone per task: a failure probe reads
          the shared rows and writes only its own SPF workspace, so
          clones make concurrent probes race-free; results are
@@ -71,22 +129,13 @@ let sweep ?pool ?(model = Objective.Load) ~th ctx =
         Pool.map p jobs ~f:(fun j ->
             let lo = j * k / jobs and hi = (j + 1) * k / jobs in
             let c = if hi - lo > 0 then Eval_ctx.clone ctx else ctx in
-            let out =
-              Array.make (hi - lo) { cost = Lexico.zero; unreachable_pairs = 0 }
-            in
-            for i = 0 to hi - lo - 1 do
-              out.(i) <- eval_link ~model ~th ~links c (lo + i)
-            done;
-            out)
+            let out = Array.make k no_outcome in
+            let order = Array.init (hi - lo) (fun i -> lo + i) in
+            ignore (visit ~model ~th ~links c ~out ~order ~stop:never);
+            Array.sub out lo (hi - lo))
       in
       Array.concat (Array.to_list chunks)
-  | _ ->
-      (* Explicit ascending loop: Array.init's order is unspecified. *)
-      let out = Array.make k { cost = Lexico.zero; unreachable_pairs = 0 } in
-      for i = 0 to k - 1 do
-        out.(i) <- eval_link ~model ~th ~links ctx i
-      done;
-      out
+  | _ -> Option.get (sweep_until ~model ~stop:never ~th ctx)
 
 (* ------------------------------------------------------------------ *)
 (* From-scratch oracle: reduced-graph rebuild with weight remapping.

@@ -50,6 +50,26 @@ val sweep :
     is identical for every pool width.
     @raise Invalid_argument unless the context has exactly 2 classes. *)
 
+val sweep_until :
+  ?model:Objective.model ->
+  ?order:int array ->
+  stop:(int -> outcome -> bool) ->
+  th:Dtr_traffic.Matrix.t ->
+  Eval_ctx.t ->
+  outcome array option
+(** A sequential sweep that may stop early.  Links are visited in
+    [order] (a permutation of the link indices; default ascending) and
+    after each failure [i] is priced as [o], [stop i o] decides whether
+    to give up.  [None] when it held — the failures priced so far were
+    all shown to [stop], which keeps whatever it needs; counted under
+    [dtr_failure_sweeps_pruned_total].  Otherwise [Some outcomes], in
+    link order and bitwise equal to {!sweep}'s for every [order]: a
+    failure probe never modifies the context, so each outcome is a
+    pure function of the weights and the failed link.  {!sweep}'s
+    sequential path is this loop with a [stop] that never holds.
+    @raise Invalid_argument unless the context has exactly 2 classes
+    or when [order] is not a permutation of [0 .. links - 1]. *)
+
 val fail_link :
   Dtr_graph.Graph.t ->
   link:int * int ->

@@ -396,6 +396,246 @@ let test_robust_search_jobs_invariance () =
   Alcotest.(check (array int)) "same winner wh"
     seq.Multistart.best.Problem.wh par.Multistart.best.Problem.wh
 
+(* ------------------------------------------------------------------ *)
+(* Bounded robust pricing *)
+
+(* Two 4-node rings joined by one bridge link (3-4).  Every demand
+   pair across the bridge is positive, so failing the bridge is priced
+   infinite for every weight setting; every other failure is
+   survivable. *)
+let bridge_graph () =
+  let a src dst = { Graph.src; dst; capacity = 100.; delay = 1. } in
+  let both x y = [ a x y; a y x ] in
+  Graph.build ~n:8
+    (List.concat
+       [
+         both 0 1; both 1 2; both 2 3; both 3 0; both 4 5; both 5 6; both 6 7;
+         both 7 4; both 3 4;
+       ])
+
+let problem_on ~model g =
+  let th, tl = random_matrices (Prng.create 17) g in
+  Problem.create ~graph:g ~th ~tl ~model
+
+let bridge_problem ~model = problem_on ~model (bridge_graph ())
+
+(* No bridge: every failure is survivable. *)
+let ring_problem ~model = problem_on ~model (Dtr_topology.Classic.ring 8)
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_lexico (a : Lexico.t) (b : Lexico.t) =
+  same_float a.Lexico.primary b.Lexico.primary
+  && same_float a.Lexico.secondary b.Lexico.secondary
+
+let lex_lt a b = Lexico.lt ~rel_tol:Search_config.rel_tol a b
+
+(* [best] just below, inside the tolerance band of, and just above the
+   full robust objective [j]. *)
+let bests_around (j : Lexico.t) =
+  let p = j.Lexico.primary and s = j.Lexico.secondary in
+  let tol = Search_config.rel_tol *. Float.max 1. (Float.abs p) in
+  [
+    Lexico.make ~primary:(p -. (1e-3 *. Float.max 1. p)) ~secondary:s;
+    Lexico.make ~primary:(p -. (4. *. tol)) ~secondary:(s +. 1.);
+    Lexico.make ~primary:(p -. (0.5 *. tol)) ~secondary:s;
+    Lexico.make ~primary:p ~secondary:(s -. 1.);
+    Lexico.make ~primary:(p +. (0.5 *. tol)) ~secondary:(s +. 1.);
+    Lexico.make ~primary:(p +. (4. *. tol)) ~secondary:s;
+    Lexico.make ~primary:(p +. (1e-3 *. Float.max 1. p)) ~secondary:s;
+  ]
+
+let check_bounded ~what ~full (rp : Problem.robust_price) ~best =
+  if rp.Problem.rp_complete then begin
+    Alcotest.(check bool) (what ^ ": complete J bitwise") true
+      (same_lexico full.Problem.rp_objective rp.Problem.rp_objective);
+    Alcotest.(check bool) (what ^ ": complete penalty bitwise") true
+      (same_lexico full.Problem.rp_penalty rp.Problem.rp_penalty);
+    Alcotest.(check int) (what ^ ": complete infinite count")
+      full.Problem.rp_infinite rp.Problem.rp_infinite
+  end
+  else begin
+    Alcotest.(check bool) (what ^ ": cut short only when J loses") false
+      (lex_lt full.Problem.rp_objective best);
+    (* The cut-short fields are lower bounds of the full ones. *)
+    let j = full.Problem.rp_objective.Lexico.primary in
+    Alcotest.(check bool) (what ^ ": bound <= J") true
+      (rp.Problem.rp_objective.Lexico.primary <= j +. (1e-12 *. Float.abs j));
+    Alcotest.(check bool) (what ^ ": infinite seen <= total") true
+      (rp.Problem.rp_infinite <= full.Problem.rp_infinite)
+  end
+
+(* Seeded commit sequences, each state priced unbounded and then
+   bounded by incumbents around its full J, in link order and in a
+   worst-first order carried across the whole sequence.  Returns the number
+   of cut-short sweeps, so callers can check pruning happened. *)
+let bounded_equals_full problem ~seed =
+  let g = problem.Problem.graph in
+  let rng = Prng.create seed in
+  let sol =
+    Problem.eval_dtr problem ~wh:(Weights.random rng g)
+      ~wl:(Weights.random rng g)
+  in
+  let ctx = Problem.ctx_of_solution problem sol in
+  let normal = ref (Problem.objective sol) in
+  let cut = ref 0 in
+  let order = Problem.failure_order problem in
+  for step = 0 to 5 do
+    List.iter
+      (fun top_k ->
+        List.iter
+          (fun alpha ->
+            let price ?best ?order () =
+              Problem.robust_price ?best ?order problem ctx ~alpha ~top_k
+                ~normal:!normal
+            in
+            let full = price () in
+            Alcotest.(check bool) "unbounded sweep completes" true
+              full.Problem.rp_complete;
+            List.iteri
+              (fun b best ->
+                let what =
+                  Printf.sprintf "seed %d step %d k=%d a=%g best#%d" seed step
+                    top_k alpha b
+                in
+                List.iter
+                  (fun (order, what) ->
+                    let rp = price ~best ?order () in
+                    check_bounded ~what ~full rp ~best;
+                    if not rp.Problem.rp_complete then incr cut)
+                  [ (None, what); (Some order, what ^ " worst-first") ])
+              (bests_around full.Problem.rp_objective))
+          [ 0.; 0.5; 2. ])
+      [ 1; 2; 3 ];
+    let arc = Prng.int rng (Graph.arc_count g) in
+    let v = Weights.min_weight + Prng.int rng Weights.max_weight in
+    let cls = if Prng.int rng 2 = 0 then `H else `L in
+    let d = Problem.eval_delta problem ctx ~cls ~changes:[ (arc, v) ] in
+    normal := Problem.objective (Problem.commit_delta problem ctx d)
+  done;
+  !cut
+
+let test_bounded_equals_full_load () =
+  let model = Objective.Load in
+  let cut = ref 0 in
+  for seed = 0 to 5 do
+    cut := !cut + bounded_equals_full (small_problem seed) ~seed
+  done;
+  cut := !cut + bounded_equals_full (bridge_problem ~model) ~seed:7;
+  cut := !cut + bounded_equals_full (ring_problem ~model) ~seed:9;
+  Alcotest.(check bool) "some sweeps were cut short" true (!cut > 0)
+
+let test_bounded_equals_full_sla () =
+  let sla = Objective.Sla Dtr_cost.Sla.default in
+  let cut = ref 0 in
+  for seed = 0 to 2 do
+    let p = small_problem seed in
+    cut := !cut + bounded_equals_full { p with Problem.model = sla } ~seed
+  done;
+  cut := !cut + bounded_equals_full (bridge_problem ~model:sla) ~seed:8;
+  cut := !cut + bounded_equals_full (ring_problem ~model:sla) ~seed:10;
+  Alcotest.(check bool) "some sweeps were cut short" true (!cut > 0)
+
+let test_sweep_order_invariance () =
+  (* A complete sweep prices every failure against the same untouched
+     context, so any visiting order gives the link-ordered array of
+     the plain sweep bitwise. *)
+  List.iter
+    (fun (model, seeds) ->
+      List.iter
+        (fun seed ->
+          let g = fixture seed in
+          let rng = Prng.create ((seed * 7) + 1) in
+          let th, tl = random_matrices rng g in
+          let wh = Weights.random rng g and wl = Weights.random rng g in
+          let ctx =
+            Eval_ctx.create g ~weights:[| wh; wl |] ~matrices:[| th; tl |]
+          in
+          let plain = Failure_sweep.sweep ~model ~th ctx in
+          let k = Array.length plain in
+          for _ = 1 to 3 do
+            let order = Array.init k Fun.id in
+            Prng.shuffle rng order;
+            match
+              Failure_sweep.sweep_until ~model ~order ~stop:(fun _ _ -> false)
+                ~th ctx
+            with
+            | None -> Alcotest.fail "a never-stopping sweep was cut short"
+            | Some out ->
+                Array.iteri
+                  (fun i e -> check_outcome ~what:"any order" i e out.(i))
+                  plain
+          done)
+        seeds)
+    [
+      (Objective.Load, [ 0; 1; 2; 3; 5; 6 ]);
+      (Objective.Sla Dtr_cost.Sla.default, [ 1; 2; 3 ]);
+    ];
+  let g = fixture 3 in
+  let th, tl = random_matrices (Prng.create 3) g in
+  let w = Weights.random (Prng.create 4) g in
+  let ctx = Eval_ctx.create g ~weights:[| w; w |] ~matrices:[| th; tl |] in
+  let k = Array.length (Graph.undirected_link_pairs g) in
+  let bad = Array.init k (fun i -> if i = 0 then 1 else i) in
+  Alcotest.check_raises "order must be a permutation"
+    (Invalid_argument "Failure_sweep.sweep_until: order is not a permutation")
+    (fun () ->
+      ignore
+        (Failure_sweep.sweep_until ~order:bad
+           ~stop:(fun _ _ -> false)
+           ~th ctx));
+  (* [stop] sees every priced failure, and the sweep stops at once. *)
+  let seen = ref 0 in
+  let r =
+    Failure_sweep.sweep_until ~th ctx ~stop:(fun _ _ ->
+        incr seen;
+        !seen = 2)
+  in
+  Alcotest.(check bool) "stopped" true (r = None);
+  Alcotest.(check int) "priced up to the stop" 2 !seen
+
+let test_robust_sweep_trace_detail () =
+  (* The robust_sweep event's [detail] is the number of failures
+     priced as infinite — for STR and DTR alike.  On the bridge graph
+     that is 1 for every complete sweep (and at most 1 for a cut-short
+     one). *)
+  let problem = bridge_problem ~model:Objective.Load in
+  let sol =
+    Problem.eval_str problem
+      ~w:(Array.make (Graph.arc_count problem.Problem.graph) 10)
+  in
+  let total =
+    Failure_sweep.infinite_count
+      (Problem.failure_outcomes problem (Problem.ctx_of_solution problem sol))
+  in
+  Alcotest.(check int) "the bridge severs demand" 1 total;
+  let cfg = robust_cfg 0.5 in
+  let check what run =
+    let ring = Dtr_core.Trace.ring ~timestamps:false () in
+    run ring;
+    let sweeps =
+      List.filter
+        (fun (e : Dtr_core.Trace.event) ->
+          e.Dtr_core.Trace.kind = Dtr_core.Trace.Robust_sweep)
+        (Dtr_core.Trace.events ring)
+    in
+    Alcotest.(check bool) (what ^ ": sweeps traced") true (sweeps <> []);
+    List.iter
+      (fun (e : Dtr_core.Trace.event) ->
+        Alcotest.(check bool) (what ^ ": detail <= infinite total") true
+          (e.Dtr_core.Trace.detail <= total);
+        if e.Dtr_core.Trace.accepted then
+          Alcotest.(check int)
+            (Printf.sprintf "%s: accepted sweep at iteration %d" what
+               e.Dtr_core.Trace.iteration)
+            total e.Dtr_core.Trace.detail)
+      sweeps
+  in
+  check "str" (fun trace ->
+      ignore (Dtr_core.Str_search.run ~trace (Prng.create 5) cfg problem));
+  check "dtr" (fun trace ->
+      ignore (Dtr_core.Dtr_search.run ~trace (Prng.create 6) cfg problem))
+
 let () =
   Alcotest.run "failure"
     [
@@ -436,5 +676,16 @@ let () =
             test_robust_objective_decomposition;
           Alcotest.test_case "multistart jobs invariance" `Slow
             test_robust_search_jobs_invariance;
+          Alcotest.test_case "sweep trace detail counts infinite" `Quick
+            test_robust_sweep_trace_detail;
+        ] );
+      ( "bounded-pricing",
+        [
+          Alcotest.test_case "bounded = full (load)" `Quick
+            test_bounded_equals_full_load;
+          Alcotest.test_case "bounded = full (sla)" `Quick
+            test_bounded_equals_full_sla;
+          Alcotest.test_case "any visiting order = link order" `Quick
+            test_sweep_order_invariance;
         ] );
     ]
