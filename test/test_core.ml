@@ -533,6 +533,96 @@ let test_mtr_no_worse_than_single_topology () =
       (fun a b -> a <= b +. 1e-6)
       mtr.Mtr_search.objective str.Mtr_search.objective)
 
+(* Exactness pins: the final weights (an MD5 digest), the objective
+   vector (%h, every bit) and the effort counters of fixed-seed MTR
+   runs on the three-class ring — from uniform and from random starting
+   weights — and on the ext-3class instance.  A change to the search or
+   to its evaluation engine that moves one bit of a trajectory fails
+   here. *)
+let mtr_fingerprint (r : Mtr_search.report) =
+  let row w = String.concat " " (Array.to_list (Array.map string_of_int w)) in
+  Printf.sprintf "%s %s evals=%d impr=%d"
+    (Digest.to_hex
+       (Digest.string
+          (String.concat "|" (Array.to_list (Array.map row r.Mtr_search.weights)))))
+    (String.concat ","
+       (Array.to_list (Array.map (Printf.sprintf "%h") r.Mtr_search.objective)))
+    r.Mtr_search.evaluations r.Mtr_search.improvements
+
+let test_mtr_exactness () =
+  let ring = three_class_problem () in
+  let g = ring.Mtr_search.graph in
+  let random_w0 seed =
+    let rng = Prng.create (1000 + seed) in
+    Array.init 3 (fun _ -> Weights.random rng g)
+  in
+  let ring_cases seed =
+    [
+      ( Printf.sprintf "ring run seed %d" seed,
+        fun () -> Mtr_search.run (Prng.create seed) tiny_config ring );
+      ( Printf.sprintf "ring run seed %d, random w0" seed,
+        fun () ->
+          Mtr_search.run ~w0:(random_w0 seed) (Prng.create seed) tiny_config ring
+      );
+      ( Printf.sprintf "ring single topology seed %d" seed,
+        fun () -> Mtr_search.run_single_topology (Prng.create seed) tiny_config ring
+      );
+      ( Printf.sprintf "ring single topology seed %d, random w0" seed,
+        fun () ->
+          Mtr_search.run_single_topology ~w0:(random_w0 seed).(0)
+            (Prng.create seed) tiny_config ring );
+    ]
+  in
+  let ext = Dtr_experiments.Multi_class.problem () in
+  let cases =
+    List.concat_map ring_cases [ 20; 21; 22 ]
+    @ [
+        ( "ext-3class run",
+          fun () -> Mtr_search.run (Prng.create 85) Search_config.quick ext );
+        ( "ext-3class single topology",
+          fun () ->
+            Mtr_search.run_single_topology (Prng.create 84) Search_config.quick ext
+        );
+      ]
+  in
+  let expected =
+    [
+      ( "ring run seed 20",
+        "686d039b56fe5613e2a4247245d0e3c2 0x1.3333333333333p-1,0x1.8p+0,0x1.8000000000002p+1 evals=2518 impr=0" );
+      ( "ring run seed 20, random w0",
+        "389d63eb6c7fb9cf8ec3b205c5b2057b 0x1.3333333333334p-1,0x1.8p+0,0x1.8000000000002p+1 evals=2335 impr=9" );
+      ( "ring single topology seed 20",
+        "686d039b56fe5613e2a4247245d0e3c2 0x1.3333333333333p-1,0x1.8p+0,0x1.8000000000002p+1 evals=878 impr=0" );
+      ( "ring single topology seed 20, random w0",
+        "ba00bd0b0b672a2a7cb4c5cbf2ad87ca 0x1.3333333333333p-1,0x1.8p+0,0x1.8000000000002p+1 evals=877 impr=4" );
+      ( "ring run seed 21",
+        "686d039b56fe5613e2a4247245d0e3c2 0x1.3333333333333p-1,0x1.8p+0,0x1.8000000000002p+1 evals=2617 impr=0" );
+      ( "ring run seed 21, random w0",
+        "9e947bc4846902c604f8fc215aa51da4 0x1.3333333333333p-1,0x1.8p+0,0x1.a222222222226p+1 evals=2417 impr=5" );
+      ( "ring single topology seed 21",
+        "686d039b56fe5613e2a4247245d0e3c2 0x1.3333333333333p-1,0x1.8p+0,0x1.8000000000002p+1 evals=885 impr=0" );
+      ( "ring single topology seed 21, random w0",
+        "0c8bfed98e81497af1c083da018aeb5d 0x1.3333333333333p-1,0x1.8p+0,0x1.8000000000002p+1 evals=895 impr=4" );
+      ( "ring run seed 22",
+        "686d039b56fe5613e2a4247245d0e3c2 0x1.3333333333333p-1,0x1.8p+0,0x1.8000000000002p+1 evals=2439 impr=0" );
+      ( "ring run seed 22, random w0",
+        "65a499120319f4b08b056f4afad0e275 0x1.3333333333333p-1,0x1.8p+0,0x1.8000000000002p+1 evals=2532 impr=4" );
+      ( "ring single topology seed 22",
+        "686d039b56fe5613e2a4247245d0e3c2 0x1.3333333333333p-1,0x1.8p+0,0x1.8000000000002p+1 evals=876 impr=0" );
+      ( "ring single topology seed 22, random w0",
+        "470f8fed484559d5c06717e46d200091 0x1.3333333333333p-1,0x1.8p+0,0x1.a222222222226p+1 evals=877 impr=5" );
+      ( "ext-3class run",
+        "afa47383a3a9f00b1418f1b7546f3b3b 0x1.b7b5dc1b28259p+10,0x1.40ce4113d5c54p+12,0x1.01d5dfa678c9ap+15 evals=19475 impr=60" );
+      ( "ext-3class single topology",
+        "a95b83d61ebdfd4cc46752a9d8a2ac65 0x1.b7b5dc1b28258p+10,0x1.4a7e79c7e55b8p+12,0x1.3178dd6159b86p+21 evals=6280 impr=21" );
+    ]
+  in
+  List.iter
+    (fun (what, run) ->
+      Alcotest.(check string) what (List.assoc what expected)
+        (mtr_fingerprint (run ())))
+    cases
+
 (* ------------------------------------------------------------------ *)
 (* Warm-start validation.  Every search validates a caller-supplied w0
    at entry, so an out-of-range weight is an immediate
@@ -671,6 +761,7 @@ let () =
             test_mtr_single_topology_shares_vector;
           Alcotest.test_case "MTR no worse than single topology" `Slow
             test_mtr_no_worse_than_single_topology;
+          Alcotest.test_case "exactness pins" `Quick test_mtr_exactness;
         ] );
       ( "w0-validation",
         [

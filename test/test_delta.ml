@@ -366,6 +366,54 @@ let check_sla ~what (a : Problem.solution) (b : Problem.solution) =
       then Alcotest.failf "%s: SLA evaluation differs from scratch" what
   | _ -> Alcotest.failf "%s: SLA evaluation present on one side only" what
 
+(* The independent anchor: [Problem]'s from-scratch evaluations run on
+   the same engine as its probes, so "probe = from scratch" alone would
+   compare the engine with itself.  Every from-scratch side is also
+   compared, bit for bit, with Objective.evaluate — its own SPF sweep,
+   Loads.of_matrix projection and Evaluate.assemble. *)
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+let check_oracle ~what problem (s : Problem.solution) =
+  let o =
+    Objective.evaluate problem.Problem.model problem.Problem.graph
+      ~wh:s.Problem.wh ~wl:s.Problem.wl ~th:problem.Problem.th
+      ~tl:problem.Problem.tl
+  in
+  let lex (x : Lexico.t) = [| x.Lexico.primary; x.Lexico.secondary |] in
+  let a = s.Problem.result.Objective.eval and b = o.Objective.eval in
+  List.iter
+    (fun (name, x, y) ->
+      if not (same_bits x y) then
+        Alcotest.failf "%s: %s differs from Objective.evaluate" what name)
+    [
+      ("objective", lex (Problem.objective s), lex o.Objective.objective);
+      ("h_loads", a.Evaluate.h_loads, b.Evaluate.h_loads);
+      ("l_loads", a.Evaluate.l_loads, b.Evaluate.l_loads);
+      ("residual", a.Evaluate.residual, b.Evaluate.residual);
+      ("phi_h_per_arc", a.Evaluate.phi_h_per_arc, b.Evaluate.phi_h_per_arc);
+      ("phi_l_per_arc", a.Evaluate.phi_l_per_arc, b.Evaluate.phi_l_per_arc);
+      ("phi", [| a.Evaluate.phi_h; a.Evaluate.phi_l |],
+        [| b.Evaluate.phi_h; b.Evaluate.phi_l |]);
+    ];
+  match (s.Problem.result.Objective.sla, o.Objective.sla) with
+  | None, None -> ()
+  | Some x, Some y ->
+      let delays l = Array.of_list (List.map (fun (_, _, d) -> d) l) in
+      let pairs l = List.map (fun (src, dst, _) -> (src, dst)) l in
+      if
+        not
+          (same_bits x.Evaluate.arc_delay y.Evaluate.arc_delay
+          && pairs x.Evaluate.pair_delays = pairs y.Evaluate.pair_delays
+          && same_bits (delays x.Evaluate.pair_delays)
+               (delays y.Evaluate.pair_delays)
+          && x.Evaluate.violations = y.Evaluate.violations)
+      then Alcotest.failf "%s: SLA record differs from Objective.evaluate" what
+  | _ -> Alcotest.failf "%s: SLA record present on one side only" what
+
 let problem_delta_matches seed =
   let g = random_graph seed in
   let rng = Prng.create (seed * 23 + 9) in
@@ -378,12 +426,14 @@ let problem_delta_matches seed =
       (* STR context. *)
       let w0 = Weights.random rng g in
       let sol = ref (Problem.eval_str problem ~w:w0) in
+      check_oracle ~what:"STR start" problem !sol;
       let ctx = Problem.ctx_of_solution problem !sol in
       for step = 1 to 4 do
         let w = !sol.Problem.wh in
         let changes = random_changes rng ~step w in
         let d = Problem.eval_delta problem ctx ~cls:`H ~changes in
         let scratch = Problem.eval_str problem ~w:(apply_changes w changes) in
+        check_oracle ~what:"STR scratch" problem scratch;
         check_lex ~what:"STR probe objective" (Problem.delta_objective d)
           (Problem.objective scratch);
         (* Reject path: context still evaluates the base exactly. *)
@@ -403,6 +453,12 @@ let problem_delta_matches seed =
       (* DTR context, both classes. *)
       let wh0 = Weights.random rng g and wl0 = Weights.random rng g in
       let sol = ref (Problem.eval_dtr problem ~wh:wh0 ~wl:wl0) in
+      check_oracle ~what:"DTR start" problem !sol;
+      (* One physical array on both sides is still a DTR setting. *)
+      let shared = Problem.eval_dtr problem ~wh:wh0 ~wl:wh0 in
+      Alcotest.(check bool) "eval_dtr ~wh:w ~wl:w is DTR" false
+        (Problem.is_str shared);
+      check_oracle ~what:"DTR shared array" problem shared;
       let ctx = Problem.ctx_of_solution problem !sol in
       List.iteri
         (fun step cls ->
@@ -417,6 +473,7 @@ let problem_delta_matches seed =
             | `H -> Problem.eval_dtr problem ~wh:w' ~wl:!sol.Problem.wl
             | `L -> Problem.eval_dtr problem ~wh:!sol.Problem.wh ~wl:w'
           in
+          check_oracle ~what:"DTR scratch" problem scratch;
           check_lex ~what:"DTR probe objective" (Problem.delta_objective d)
             (Problem.objective scratch);
           let committed = Problem.commit_delta problem ctx d in
