@@ -129,19 +129,21 @@ let init_weights_arg =
            W_H and W_L; e.g. a previous run's --save-weights output).  \
            Weights are range-validated on load.")
 
-(* Warm-start file -> (wh0, wl0).  Out-of-range or malformed files die
-   with the parser's line-numbered message. *)
-let load_init_weights = function
-  | None -> None
-  | Some path -> (
-      match Dtr_routing.Weights_io.load path with
-      | Error msg -> failwith (Printf.sprintf "%s: %s" path msg)
-      | Ok [| w |] -> Some (w, w)
-      | Ok [| wh; wl |] -> Some (wh, wl)
-      | Ok sets ->
-          failwith
-            (Printf.sprintf "%s: expected 1 or 2 weight topologies, found %d"
-               path (Array.length sets)))
+(* A saved weight file for graph [g] as a (wh, wl) pair: one topology
+   seeds both classes (STR, one shared array), two are W_H and W_L
+   (DTR).  Malformed, out-of-range and other-topology files die with
+   the file name and the parser's line-numbered message. *)
+let load_weight_pair g path =
+  match
+    Dtr_routing.Weights_io.load ~arcs:(Dtr_graph.Graph.arc_count g) path
+  with
+  | Error msg -> failwith (Printf.sprintf "%s: %s" path msg)
+  | Ok [| w |] -> (w, w)
+  | Ok [| wh; wl |] -> (wh, wl)
+  | Ok sets ->
+      failwith
+        (Printf.sprintf "%s: expected 1 or 2 weight topologies, found %d" path
+           (Array.length sets))
 
 let scan_jobs_arg =
   Arg.(
@@ -418,7 +420,6 @@ let optimize_cmd =
       | None -> cfg
       | Some n -> { cfg with Dtr_core.Search_config.n_iters = n; k_iters = n }
     in
-    let w0 = load_init_weights init_weights in
     (* Each algorithm's search gets the whole budget, measured from its
        own start. *)
     let stop =
@@ -430,6 +431,7 @@ let optimize_cmd =
     in
     start_metrics metrics_file;
     let inst = Scenario.make (make_spec topology fraction density seed) in
+    let w0 = Option.map (load_weight_pair inst.Scenario.graph) init_weights in
     (* One provenance record shared by every artifact of this run. *)
     let manifest () =
       Dtr_core.Manifest.to_json ~seed ~jobs ~restarts
@@ -764,36 +766,25 @@ let inspect_cmd =
     let spec = make_spec topology fraction density seed in
     let inst = Scenario.make spec in
     let inst = Scenario.scale_to_utilization inst ~target:util in
-    let wh, wl, result =
+    let problem = Scenario.problem inst ~model in
+    let wh, wl =
       match weights_file with
-      | Some path -> (
+      | Some path ->
           (* Inspect a deployed weight setting as-is — no search. *)
-          match Dtr_routing.Weights_io.load path with
-          | Error msg -> failwith msg
-          | Ok [| w |] ->
-              ( w,
-                w,
-                Objective.evaluate model inst.Scenario.graph ~wh:w ~wl:w
-                  ~th:inst.Scenario.th ~tl:inst.Scenario.tl )
-          | Ok [| wh; wl |] ->
-              ( wh,
-                wl,
-                Objective.evaluate model inst.Scenario.graph ~wh ~wl
-                  ~th:inst.Scenario.th ~tl:inst.Scenario.tl )
-          | Ok sets ->
-              failwith
-                (Printf.sprintf
-                   "%s: expected 1 or 2 weight topologies, found %d" path
-                   (Array.length sets)))
+          load_weight_pair inst.Scenario.graph path
       | None ->
-          let problem = Scenario.problem inst ~model in
           Printf.printf "optimizing DTR weights...\n%!";
           let report =
             Dtr_core.Dtr_search.run (Dtr_util.Prng.create seed) preset problem
           in
           let best = report.Dtr_core.Dtr_search.best in
-          (best.Problem.wh, best.Problem.wl, best.Problem.result)
+          (best.Problem.wh, best.Problem.wl)
     in
+    (* One evaluation: the tables, the robustness sweep and the flow
+       attribution all read this context. *)
+    let pctx = Problem.ctx_of_weights problem ~wh ~wl in
+    let result = (Problem.ctx_solution problem pctx).Problem.result in
+    let ctx = Problem.ctx_engine pctx in
     let eval = result.Dtr_routing.Objective.eval in
     let sla = result.Dtr_routing.Objective.sla in
     (* Every printed table is also collected for --json. *)
@@ -807,12 +798,8 @@ let inspect_cmd =
     show (Report.per_link_table ~top eval);
     show (Report.top_phi_table ~top eval);
     (* Single-link robustness of the inspected setting: one delta
-       sweep against a live context. *)
-    let ctx =
-      Dtr_routing.Eval_ctx.create inst.Scenario.graph ~weights:[| wh; wl |]
-        ~matrices:[| inst.Scenario.th; inst.Scenario.tl |]
-    in
-    let outcomes = Dtr_routing.Failure_sweep.sweep ~model ~th:inst.Scenario.th ctx in
+       sweep against the live context. *)
+    let outcomes = Problem.failure_outcomes problem pctx in
     show
       (Report.robustness_table
          ~baseline:result.Dtr_routing.Objective.objective outcomes);
@@ -910,18 +897,6 @@ let inspect_cmd =
 (* ------------------------------------------------------------------ *)
 (* diff                                                               *)
 
-(* A saved weight file as a (wh, wl) pair: one topology seeds both
-   classes (STR), two are W_H and W_L (DTR). *)
-let load_weight_pair path =
-  match Dtr_routing.Weights_io.load path with
-  | Error msg -> failwith (Printf.sprintf "%s: %s" path msg)
-  | Ok [| w |] -> (w, w)
-  | Ok [| wh; wl |] -> (wh, wl)
-  | Ok sets ->
-      failwith
-        (Printf.sprintf "%s: expected 1 or 2 weight topologies, found %d" path
-           (Array.length sets))
-
 let diff_cmd =
   let run topology model fraction density util seed jobs top weights json_out
       =
@@ -936,8 +911,8 @@ let diff_cmd =
     let inst = Scenario.scale_to_utilization inst ~target:util in
     let g = inst.Scenario.graph in
     let matrices = [| inst.Scenario.th; inst.Scenario.tl |] in
-    let wha, wla = load_weight_pair path_a in
-    let whb, wlb = load_weight_pair path_b in
+    let wha, wla = load_weight_pair g path_a in
+    let whb, wlb = load_weight_pair g path_b in
     let ctx_a = Dtr_routing.Eval_ctx.create g ~weights:[| wha; wla |] ~matrices in
     let ctx_b = Dtr_routing.Eval_ctx.create g ~weights:[| whb; wlb |] ~matrices in
     let sla =
@@ -1020,10 +995,12 @@ let report_cmd =
               let spec = make_spec topology fraction density seed in
               let inst = Scenario.make spec in
               let inst = Scenario.scale_to_utilization inst ~target:util in
-              let wh, wl = load_weight_pair path in
+              let problem = Scenario.problem inst ~model in
+              let wh, wl = load_weight_pair inst.Scenario.graph path in
               let result =
-                Objective.evaluate model inst.Scenario.graph ~wh ~wl
-                  ~th:inst.Scenario.th ~tl:inst.Scenario.tl
+                (Problem.ctx_solution problem
+                   (Problem.ctx_of_weights problem ~wh ~wl))
+                  .Problem.result
               in
               let eval = result.Dtr_routing.Objective.eval in
               [

@@ -116,8 +116,12 @@ let run ?(schedule = default_schedule) ?w0 ?(trace = Trace.disabled) rng cfg
   in
   let mid = (Weights.min_weight + Weights.max_weight) / 2 in
   let m = Dtr_graph.Graph.arc_count problem.Problem.graph in
+  (* A caller's array passed on both sides stays two vectors: a shared
+     array would make an STR context. *)
   let wh0, wl0 =
-    match w0 with Some w -> w | None -> (Array.make m mid, Array.make m mid)
+    match w0 with
+    | Some (wh, wl) -> (wh, Array.copy wl)
+    | None -> (Array.make m mid, Array.make m mid)
   in
   (* Validate caller-supplied starting vectors up front: an
      out-of-range weight used to survive until a scan indexed past a
@@ -127,27 +131,28 @@ let run ?(schedule = default_schedule) ?w0 ?(trace = Trace.disabled) rng cfg
   | Some (wh, wl) ->
       Weights.validate problem.Problem.graph wh;
       Weights.validate problem.Problem.graph wl);
-  let current = ref (Problem.eval_dtr problem ~wh:wh0 ~wl:wl0) in
+  let ctx = Problem.ctx_of_weights problem ~wh:wh0 ~wl:wl0 in
+  let current = ref (Problem.ctx_solution problem ctx) in
   let best = ref !current in
   (* Phase 1: anneal W_H against the primary cost. *)
   let acc1 =
-    anneal_phase ~trace ~detail:0 ~counts0 rng cfg schedule problem
-      (Problem.ctx_of_solution problem !current)
+    anneal_phase ~trace ~detail:0 ~counts0 rng cfg schedule problem ctx
       ~cls:`H ~cmp:Problem.ctx_arc_cmp_h
       ~energy:(fun o -> o.Lexico.primary)
       ~current ~best
   in
   phase_done ~detail:0 !best;
   (* Fix the best W_H found, then anneal W_L against Φ_L. *)
-  current :=
-    Problem.eval_dtr problem ~wh:!best.Problem.wh ~wl:!current.Problem.wl;
+  let ctx =
+    Problem.ctx_of_weights problem ~wh:!best.Problem.wh ~wl:!current.Problem.wl
+  in
+  current := Problem.ctx_solution problem ctx;
   if
     Lexico.lt ~rel_tol:Search_config.rel_tol (Problem.objective !current)
       (Problem.objective !best)
   then best := !current;
   let acc2 =
-    anneal_phase ~trace ~detail:1 ~counts0 rng cfg schedule problem
-      (Problem.ctx_of_solution problem !current)
+    anneal_phase ~trace ~detail:1 ~counts0 rng cfg schedule problem ctx
       ~cls:`L ~cmp:Problem.ctx_arc_cmp_l
       ~energy:(fun o -> o.Lexico.secondary)
       ~current ~best

@@ -91,10 +91,10 @@ let neighbor_vectors ?ht_arc ?ht_cand rng cfg ~ranking w =
   else move_vectors ?ht:ht_cand rng cfg ~ranking w
 
 (* Arc rankings come from the live context's cost rows
-   (Problem.ctx_arc_cmp_h/_l) — same ordering as the solution-derived
-   Objective.link_costs_h/_l, without allocating m cost records per
-   pass.  With [rcache], the ranking is a cached sorted permutation
-   repaired incrementally from the arcs the last commits touched
+   (Problem.ctx_arc_cmp_h/_l) — the paper's per-link cost order,
+   without allocating m cost records per pass.  With [rcache], the
+   ranking is a cached sorted permutation repaired incrementally from
+   the arcs the last commits touched
    (Ranking.arcs — bitwise the full sort) instead of an O(m log m)
    re-sort per pass. *)
 let ranking_of ?rcache ~reference ~cmp ctx n_arcs =
@@ -157,7 +157,13 @@ let run ?w0 ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem =
     else Trace.disabled
   in
   let improvements = ref 0 in
-  let wh0, wl0 = match w0 with Some w -> w | None -> default_w0 problem in
+  (* A caller's array passed on both sides stays two vectors: a shared
+     array would make an STR context. *)
+  let wh0, wl0 =
+    match w0 with
+    | Some (wh, wl) -> (wh, Array.copy wl)
+    | None -> default_w0 problem
+  in
   (* Caller-supplied starting points are validated here rather than
      trusted: an out-of-range weight used to survive until the value
      scan indexed past its table. *)
@@ -194,11 +200,12 @@ let run ?w0 ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem =
      candidates key on the full (W_H, W_L) pair, so revisits across
      phases and diversification jumps hit too. *)
   let memo = Vmemo.create () in
-  let current = ref (Problem.eval_dtr problem ~wh:wh0 ~wl:wl0) in
   (* Long-lived incremental context, kept synchronized with [current];
-     rebuilt (cheaply, reusing the solution's DAGs) when routine 2
-     replaces [current] by a full evaluation of the best W_H. *)
-  let ctx = ref (Problem.ctx_of_solution problem !current) in
+     rebuilt from scratch when routine 2 pairs the best W_H with the
+     current W_L and when routine 3 restarts, and re-pointed at the
+     best's DAGs when routine 3 starts. *)
+  let ctx = ref (Problem.ctx_of_weights problem ~wh:wh0 ~wl:wl0) in
+  let current = ref (Problem.ctx_solution problem !ctx) in
   let best = ref !current in
   let robust = cfg.Search_config.robust in
   (* The robust best's objective J = normal + alpha * penalty; in
@@ -341,9 +348,9 @@ let run ?w0 ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem =
   phase_done ~iteration:cfg.Search_config.n_iters ~detail:0;
 
   (* Routine 2: freeze the best W_H, optimize W_L. *)
-  current :=
-    Problem.eval_dtr problem ~wh:!best.Problem.wh ~wl:!current.Problem.wl;
-  ctx := Problem.ctx_of_solution problem !current;
+  ctx :=
+    Problem.ctx_of_weights problem ~wh:!best.Problem.wh ~wl:!current.Problem.wl;
+  current := Problem.ctx_solution problem !ctx;
   consider_best ~iteration:0 ~moved:true ~count:false;
   stall := 0;
   for iteration = 1 to cfg.Search_config.n_iters do
@@ -405,8 +412,8 @@ let run ?w0 ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem =
           Weights.perturb rng ~fraction:cfg.Search_config.g3 !best.Problem.wl
         in
         let prev = !current in
-        current := Problem.eval_dtr problem ~wh ~wl;
-        ctx := Problem.ctx_of_solution problem !current;
+        ctx := Problem.ctx_of_weights problem ~wh ~wl;
+        current := Problem.ctx_solution problem !ctx;
         stall := 0;
         tell Trace.Diversify ~iteration ~detail:2 ~before ~prev
       end;

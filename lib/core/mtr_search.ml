@@ -26,17 +26,21 @@ let create_problem ~graph ~matrices =
 type report = {
   weights : int array array;
   objective : float array;
-  eval : Multi.t;
   evaluations : int;
   improvements : int;
 }
 
+(* Objective vectors are fresh arrays, replaced (never mutated) on
+   every commit or re-evaluation, so [prev == st.current] still tells
+   whether an iteration moved the incumbent. *)
 type state = {
   mutable current_w : int array array;
-  mutable current : Multi.t;
-  mutable ctx : Eval_ctx.t;  (* incremental view of [current] *)
+  mutable current : float array;  (* objective vector of [current_w] *)
+  mutable ctx : Eval_ctx.t;  (* live evaluation of [current_w] *)
   mutable best_w : int array array;
-  mutable best : Multi.t;
+  mutable best : float array;
+  mutable best_dags : Dtr_graph.Spf.dag array array;
+      (* per-class DAGs of [best_w], an {!Eval_ctx.dags} snapshot *)
   mutable evaluations : int;
   mutable improvements : int;
   mutable stall : int;
@@ -45,13 +49,15 @@ type state = {
 let copy_weights w = Array.map Array.copy w
 
 (* Full (re-)evaluation through the incremental context, so later
-   probes start from it: bitwise identical to Multi.evaluate. *)
+   probes start from it. *)
 let eval_state st problem w =
   st.evaluations <- st.evaluations + 1;
   st.ctx <- Eval_ctx.create problem.graph ~weights:w ~matrices:problem.matrices;
-  Eval_ctx.to_multi st.ctx
+  Eval_ctx.phi st.ctx
 
-let better a b = Multi.compare_objective (Multi.objective a) (Multi.objective b) < 0
+let dags_of ctx = Array.init (Eval_ctx.class_count ctx) (Eval_ctx.dags ctx)
+
+let better a b = Multi.compare_objective a b < 0
 
 (* One local-search pass mutating [target] weight vectors (indices into
    the per-class weights; a single shared vector passes [[|0|]] with
@@ -63,7 +69,7 @@ let pass ?ht_arc ?ht_cand rng cfg problem st ~klass =
   (* Rank directly over the incumbent's per-arc cost row — the sort
      completes before any probe commits, so reading the live row is
      bitwise-identical to the O(m) snapshot it replaces. *)
-  let costs = st.current.Multi.phi_per_arc.(klass) in
+  let costs = Eval_ctx.phi_per_arc st.ctx klass in
   let ranking =
     Neighborhood.rank_by_cost ~cmp:(fun x y -> Float.compare costs.(x) costs.(y)) m
   in
@@ -120,13 +126,12 @@ let pass ?ht_arc ?ht_cand rng cfg problem st ~klass =
           changes := (a, w_k.(a)) :: !changes
       done;
       let d = Eval_ctx.probe st.ctx ~klass ~changes:!changes in
-      if Multi.compare_objective (Eval_ctx.probe_phi d) (Multi.objective st.current) < 0
-      then begin
+      if Multi.compare_objective (Eval_ctx.probe_phi d) st.current < 0 then begin
         Eval_ctx.commit st.ctx d;
         let cand_w = Array.copy w in
         cand_w.(klass) <- w_k;
         st.current_w <- cand_w;
-        st.current <- Eval_ctx.to_multi st.ctx
+        st.current <- Eval_ctx.phi st.ctx
       end
       else Eval_ctx.abort st.ctx d)
     vectors
@@ -135,6 +140,7 @@ let record_best st =
   if better st.current st.best then begin
     st.best_w <- copy_weights st.current_w;
     st.best <- st.current;
+    st.best_dags <- dags_of st.ctx;
     st.improvements <- st.improvements + 1;
     st.stall <- 0
   end
@@ -150,8 +156,7 @@ let diversify rng problem st ~fraction ~classes =
 let finish st =
   {
     weights = copy_weights st.best_w;
-    objective = Multi.objective st.best;
-    eval = st.best;
+    objective = Array.copy st.best;
     evaluations = st.evaluations;
     improvements = st.improvements;
   }
@@ -160,25 +165,26 @@ let init_state problem w0 =
   let ctx =
     Eval_ctx.create problem.graph ~weights:w0 ~matrices:problem.matrices
   in
-  let current = Eval_ctx.to_multi ctx in
+  let current = Eval_ctx.phi ctx in
   {
     current_w = w0;
     current;
     ctx;
     best_w = copy_weights w0;
     best = current;
+    best_dags = dags_of ctx;
     evaluations = 1;
     improvements = 0;
     stall = 0;
   }
 
 (* Re-point the context at the incumbent after a phase transition
-   ([current_w] is a fresh copy of [best_w], so the incumbent's DAGs
-   are still the right ones and the SPF is skipped). *)
+   ([current_w] is a fresh copy of [best_w], so the best's DAGs are
+   still the right ones and the SPF is skipped). *)
 let resync st problem =
   st.ctx <-
-    Eval_ctx.create ~dags:st.best.Multi.dags problem.graph
-      ~weights:st.current_w ~matrices:problem.matrices
+    Eval_ctx.create ~dags:st.best_dags problem.graph ~weights:st.current_w
+      ~matrices:problem.matrices
 
 (* One iteration-level event (kind Mtr_pass, or Diversify after a
    perturbation).  MTR passes never run through the scan engine, so
@@ -188,8 +194,7 @@ let tell trace st kind ~iteration ~detail ~before ~prev =
   if Trace.enabled trace then
     Trace.emit trace ~kind ~iteration ~detail
       ~accepted:(not (prev == st.current))
-      ~before ~after:(Multi.objective st.current)
-      ~best:(Multi.objective st.best) ~evaluations:st.evaluations ()
+      ~before ~after:st.current ~best:st.best ~evaluations:st.evaluations ()
 
 let run ?w0 ?(trace = Trace.disabled) rng cfg problem =
   Search_config.validate cfg;
@@ -227,13 +232,13 @@ let run ?w0 ?(trace = Trace.disabled) rng cfg problem =
     st.current <- st.best;
     resync st problem;
     for iteration = 1 to cfg.Search_config.n_iters do
-      let before = Multi.objective st.current in
+      let before = st.current in
       let prev = st.current in
       pass rng cfg problem st ~klass;
       record_best st;
       tell trace st Trace.Mtr_pass ~iteration ~detail:klass ~before ~prev;
       if st.stall >= cfg.Search_config.diversify_after then begin
-        let before = Multi.objective st.current in
+        let before = st.current in
         let prev = st.current in
         diversify rng problem st ~fraction:cfg.Search_config.g1
           ~classes:[ klass ];
@@ -241,7 +246,7 @@ let run ?w0 ?(trace = Trace.disabled) rng cfg problem =
       end
     done;
     if Trace.enabled trace then begin
-      let b = Multi.objective st.best in
+      let b = st.best in
       Trace.emit trace ~kind:Trace.Phase_done
         ~iteration:cfg.Search_config.n_iters ~detail:klass ~before:b ~after:b
         ~best:b ~evaluations:st.evaluations ()
@@ -256,13 +261,13 @@ let run ?w0 ?(trace = Trace.disabled) rng cfg problem =
   st.stall <- 0;
   let all_classes = List.init classes Fun.id in
   for iteration = 1 to cfg.Search_config.k_iters do
-    let before = Multi.objective st.current in
+    let before = st.current in
     let prev = st.current in
     List.iter (fun klass -> pass rng cfg problem st ~klass) all_classes;
     record_best st;
     tell trace st Trace.Mtr_pass ~iteration ~detail:classes ~before ~prev;
     if st.stall >= cfg.Search_config.diversify_after then begin
-      let before = Multi.objective st.current in
+      let before = st.current in
       let prev = st.current in
       st.current_w <- copy_weights st.best_w;
       st.current <- st.best;
@@ -272,7 +277,7 @@ let run ?w0 ?(trace = Trace.disabled) rng cfg problem =
     end
   done;
   if Trace.enabled trace then begin
-    let b = Multi.objective st.best in
+    let b = st.best in
     Trace.emit trace ~kind:Trace.Phase_done ~iteration:cfg.Search_config.k_iters
       ~detail:classes ~before:b ~after:b ~best:b ~evaluations:st.evaluations ()
   end;
@@ -299,15 +304,16 @@ let run_single_topology ?w0 ?(trace = Trace.disabled) rng cfg problem =
   in
   let iters = (classes * cfg.Search_config.n_iters) + cfg.Search_config.k_iters in
   for iteration = 1 to iters do
-    let before = Multi.objective st.current in
+    let before = st.current in
     let prev = st.current in
     (* Mutate through class 0's slot; re-alias so the change applies to
        every class. *)
     let w = st.current_w.(0) in
+    let rows = Array.init classes (Eval_ctx.phi_per_arc st.ctx) in
     let costs =
       Array.init m (fun a ->
           let total = ref 0. in
-          Array.iter (fun pa -> total := !total +. pa.(a)) st.current.Multi.phi_per_arc;
+          Array.iter (fun pa -> total := !total +. pa.(a)) rows;
           !total)
     in
     let ranking =
@@ -329,21 +335,17 @@ let run_single_topology ?w0 ?(trace = Trace.disabled) rng cfg problem =
           if st.current_w.(0).(a) <> w'.(a) then changes := (a, w'.(a)) :: !changes
         done;
         let d = Eval_ctx.probe st.ctx ~klass:0 ~changes:!changes in
-        if
-          Multi.compare_objective (Eval_ctx.probe_phi d)
-            (Multi.objective st.current)
-          < 0
-        then begin
+        if Multi.compare_objective (Eval_ctx.probe_phi d) st.current < 0 then begin
           Eval_ctx.commit st.ctx d;
           st.current_w <- make_w w';
-          st.current <- Eval_ctx.to_multi st.ctx
+          st.current <- Eval_ctx.phi st.ctx
         end
         else Eval_ctx.abort st.ctx d)
       (Neighborhood.moves rng ~a ~b);
     record_best st;
     tell trace st Trace.Mtr_pass ~iteration ~detail:(-1) ~before ~prev;
     if st.stall >= cfg.Search_config.diversify_after then begin
-      let before = Multi.objective st.current in
+      let before = st.current in
       let prev = st.current in
       let w' = Weights.perturb rng ~fraction:cfg.Search_config.g1 st.current_w.(0) in
       st.current_w <- make_w w';

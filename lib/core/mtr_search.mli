@@ -27,7 +27,6 @@ val create_problem :
 type report = {
   weights : int array array;  (** best per-class weight vectors *)
   objective : float array;  (** [⟨Φ_0, …, Φ_{T−1}⟩] of the best *)
-  eval : Dtr_routing.Multi.t;  (** full evaluation of the best *)
   evaluations : int;
   improvements : int;
 }
@@ -58,7 +57,6 @@ val run_single_topology :
   problem ->
   report
 (** Single shared weight vector for every class (the STR baseline);
-    the returned [weights] repeats that vector [T] times (physically
-    shared).
+    the returned [weights] repeats that vector [T] times.
     @raise Invalid_argument on an out-of-range or wrong-length [w0]
     ({!Dtr_routing.Weights.validate}). *)

@@ -1,11 +1,8 @@
 module Graph = Dtr_graph.Graph
-module Spf = Dtr_graph.Spf
 module Matrix = Dtr_traffic.Matrix
 module Objective = Dtr_routing.Objective
 module Evaluate = Dtr_routing.Evaluate
 module Eval_ctx = Dtr_routing.Eval_ctx
-module Loads = Dtr_routing.Loads
-module Weights = Dtr_routing.Weights
 module Lexico = Dtr_cost.Lexico
 
 type t = {
@@ -23,19 +20,6 @@ let create ~graph ~th ~tl ~model =
   if not (Graph.is_strongly_connected graph) then
     invalid_arg "Problem.create: graph must be strongly connected";
   { graph; th; tl; model; dest_mode = Eval_ctx.All }
-
-(* Demand mode: destinations that sink positive demand in any of the
-   given matrices.  Full evaluations restrict their SPF sweeps to these
-   (bitwise-identically: demandless destinations contribute nothing),
-   which is what makes from-scratch evaluations affordable on the
-   large presets. *)
-let active_for t matrices =
-  match t.dest_mode with
-  | Eval_ctx.All -> None
-  | Eval_ctx.Demand ->
-      let act = Array.make (Graph.node_count t.graph) false in
-      List.iter (fun m -> Matrix.iter m (fun _ dst _ -> act.(dst) <- true)) matrices;
-      Some act
 
 type solution = {
   wh : int array;
@@ -129,35 +113,6 @@ let reset_evaluations () =
   c.dc_full <- 0;
   c.dc_delta <- 0
 
-let spf_sweep t ~w ~matrices =
-  match active_for t matrices with
-  | None -> Spf.all_destinations t.graph ~weights:w
-  | Some active -> Spf.for_destinations t.graph ~weights:w ~active
-
-(* From-scratch evaluation: validated, copied weights and their SPF
-   sweep over [matrices]' destinations, then both classes' loads. *)
-let route t w ~matrices =
-  Weights.validate t.graph w;
-  let w = Array.copy w in
-  (w, spf_sweep t ~w ~matrices)
-
-let solution_of t ~wh ~wl ~dags_h ~dags_l =
-  let h_loads = Loads.of_matrix t.graph ~dags:dags_h t.th in
-  let l_loads = Loads.of_matrix t.graph ~dags:dags_l t.tl in
-  let eval = Evaluate.assemble t.graph ~dags_h ~h_loads ~dags_l ~l_loads in
-  { wh; wl; result = Objective.of_eval t.model eval ~th:t.th () }
-
-let eval_dtr t ~wh ~wl =
-  count_full ();
-  let wh, dags_h = route t wh ~matrices:[ t.th ] in
-  let wl, dags_l = route t wl ~matrices:[ t.tl ] in
-  solution_of t ~wh ~wl ~dags_h ~dags_l
-
-let eval_str t ~w =
-  count_full ();
-  let w, dags = route t w ~matrices:[ t.th; t.tl ] in
-  solution_of t ~wh:w ~wl:w ~dags_h:dags ~dags_l:dags
-
 let is_str s = s.wh == s.wl
 
 (* ------------------------------------------------------------------ *)
@@ -206,7 +161,25 @@ let ctx_of_solution t s =
     c_key = None;
   }
 
+(* The one from-scratch evaluation: a context built from the weights
+   (its SPF sweep over [dest_mode]'s destinations, then both classes'
+   loads).  A physically shared [wh == wl] forms one group — STR. *)
+let ctx_of_weights t ~wh ~wl =
+  count_full ();
+  {
+    ec =
+      Eval_ctx.create ~dest_mode:t.dest_mode t.graph ~weights:[| wh; wl |]
+        ~matrices:[| t.th; t.tl |];
+    c_str = wh == wl;
+    c_sla = None;
+    c_version = 0;
+    c_log = [];
+    c_key = None;
+  }
+
 let ctx_is_str ctx = ctx.c_str
+
+let ctx_engine ctx = ctx.ec
 
 let ctx_weights ctx cls =
   Eval_ctx.weights ctx.ec (match cls with `H -> 0 | `L -> 1)
@@ -297,6 +270,13 @@ let ctx_solution t ctx =
   in
   { wh; wl; result }
 
+(* [eval_dtr] copies a shared array, so [~wh:w ~wl:w] stays DTR. *)
+let eval_dtr t ~wh ~wl =
+  let wl = if wh == wl then Array.copy wl else wl in
+  ctx_solution t (ctx_of_weights t ~wh ~wl)
+
+let eval_str t ~w = ctx_solution t (ctx_of_weights t ~wh:w ~wl:w)
+
 let weight_changes base w' =
   if Array.length base <> Array.length w' then
     invalid_arg "Problem.weight_changes: length mismatch";
@@ -358,9 +338,9 @@ let eval_delta ?(count = true) t ctx ~cls ~changes =
 
 (* Arc rankings for neighborhood construction, read from the live
    context's rows (shared, replaced-not-mutated on commit) instead of
-   re-materializing Objective.link_costs_h's m Lexico records per
-   iteration.  Orderings are identical: Lexico.compare without a
-   tolerance is Float.compare on the primary, then the secondary. *)
+   materializing m Lexico cost records per iteration: Lexico.compare
+   without a tolerance is Float.compare on the primary, then the
+   secondary. *)
 
 let ctx_arc_cmp_h t ctx =
   let phi_l = Eval_ctx.phi_per_arc ctx.ec 1 in

@@ -35,7 +35,9 @@ type solution = {
 val objective : solution -> Dtr_cost.Lexico.t
 
 val eval_dtr : t -> wh:int array -> wl:int array -> solution
-(** Evaluate a dual setting (the arrays are defensively copied). *)
+(** Evaluate a dual setting: {!ctx_solution} of a fresh
+    {!ctx_of_weights} (the arrays are copied; one array passed twice
+    is still a dual setting, [is_str] false). *)
 
 val eval_str : t -> w:int array -> solution
 (** Evaluate a single-topology setting ([wh == wl] in the result). *)
@@ -51,9 +53,10 @@ val is_str : solution -> bool
     {!Dtr_routing.Eval_ctx}), so each candidate costs a {!eval_delta}
     probe — recompute only the destinations the changed arc can affect —
     instead of a from-scratch SPF + load projection.  Probes are
-    numerically {e bitwise} identical to {!eval_str} / {!eval_dtr}, so
-    switching a search loop to the delta engine preserves its exact
-    trajectory for a fixed seed.
+    numerically {e bitwise} identical to a from-scratch
+    {!ctx_of_weights} (and so to {!eval_str} / {!eval_dtr}, which are
+    built on it), so switching a search loop to the delta engine
+    preserves its exact trajectory for a fixed seed.
 
     Protocol: take any number of probes from the same context state
     (apply/undo — probes never modify the context), then
@@ -71,11 +74,25 @@ type cls = [ `H | `L ]
 (** Which class's weight vector a change targets.  For an STR context
     the classes share one vector, so either value moves both. *)
 
+val ctx_of_weights : t -> wh:int array -> wl:int array -> ctx
+(** The one from-scratch evaluation: build a context from a weight
+    setting ({!Dtr_routing.Eval_ctx.create} over the problem's
+    [dest_mode]), counted as one full evaluation.  A physically shared
+    array ([wh == wl]) makes an STR context; the arrays are copied.
+    @raise Invalid_argument on invalid weights. *)
+
 val ctx_of_solution : t -> solution -> ctx
-(** Build a context from an evaluated solution, reusing its DAGs. *)
+(** Build a context from an evaluated solution, reusing its DAGs (no
+    SPF sweep, not counted as an evaluation). *)
 
 val ctx_is_str : ctx -> bool
 (** Whether the context's classes share one weight vector. *)
+
+val ctx_engine : ctx -> Dtr_routing.Eval_ctx.t
+(** The underlying two-class engine state (class 0 = H, class 1 = L),
+    for read-only consumers such as {!Dtr_routing.Attribution}.
+    Probing or committing it directly would desynchronize the
+    context's SLA record, commit log and key. *)
 
 val ctx_weights : ctx -> cls -> int array
 (** A class's current weight vector (fresh copy). *)
@@ -124,7 +141,7 @@ val sync_ctx : src:ctx -> dst:ctx -> unit
 (** Resynchronize a clone with its original by blitting the shared-row
     spine (no re-evaluation).  [src] may also be a different context
     of the same problem (a caller that replaced its context with a
-    fresh {!ctx_of_solution}): contexts of one problem share shapes,
+    fresh {!ctx_of_weights} or {!ctx_of_solution}): contexts of one problem share shapes,
     and demand is weight-independent (strong connectivity), so the
     blit reproduces [src]'s evaluation state exactly.
     @raise Invalid_argument on incompatible contexts. *)
@@ -132,9 +149,8 @@ val sync_ctx : src:ctx -> dst:ctx -> unit
 val ctx_arc_cmp_h : t -> ctx -> int -> int -> int
 (** Comparator ranking arcs by the high-priority link cost (load
     model: [(Φ_H,l, Φ_L,l)]; SLA: [(delay_l, Φ_L,l)]), read from the
-    live context's rows.  Ordering is identical to
-    [Lexico.compare (Objective.link_costs_h ...)] on the materialized
-    solution, without allocating [m] cost records per iteration. *)
+    live context's rows: [Lexico.compare] order of those pairs,
+    without allocating [m] cost records per iteration. *)
 
 val ctx_arc_cmp_l : t -> ctx -> int -> int -> int
 (** Same for the low-priority ranking ([Φ_L,l] only). *)
@@ -255,8 +271,8 @@ val evaluations : unit -> int
     concurrently (e.g. under {!Multistart}). *)
 
 val full_evaluations : unit -> int
-(** The subset of {!evaluations} performed from scratch
-    ({!eval_str}, {!eval_dtr}). *)
+(** The subset of {!evaluations} performed from scratch (every
+    {!ctx_of_weights}, so every {!eval_str} and {!eval_dtr}). *)
 
 val delta_evaluations : unit -> int
 (** The subset of {!evaluations} performed incrementally (every

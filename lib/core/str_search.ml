@@ -138,8 +138,8 @@ let run ?w0 ?iters ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem
   (* Per-run memo of evaluated settings; scans consult it in candidate
      order, so hits (and the counters below) are jobs-invariant. *)
   let memo = Vmemo.create () in
-  let current = ref (Problem.eval_str problem ~w:w0) in
-  let ctx = Problem.ctx_of_solution problem !current in
+  let ctx = Problem.ctx_of_weights problem ~wh:w0 ~wl:w0 in
+  let current = ref (Problem.ctx_solution problem ctx) in
   observe !current;
   let best = ref !current in
   let robust = cfg.Search_config.robust in

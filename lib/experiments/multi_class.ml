@@ -3,6 +3,7 @@ module Prng = Dtr_util.Prng
 module Graph = Dtr_graph.Graph
 module Matrix = Dtr_traffic.Matrix
 module Multi = Dtr_routing.Multi
+module Eval_ctx = Dtr_routing.Eval_ctx
 module Mtr_search = Dtr_core.Mtr_search
 
 let problem ?(seed = 83) ?(target_util = 0.6) () =
@@ -20,8 +21,8 @@ let problem ?(seed = 83) ?(target_util = 0.6) () =
   in
   let matrices = [| gold; silver; bronze |] in
   let mid = Array.make (Graph.arc_count g) 15 in
-  let ref_eval = Multi.evaluate g ~weights:[| mid; mid; mid |] ~matrices in
-  let factor = target_util /. Multi.avg_utilization ref_eval in
+  let ref_ctx = Eval_ctx.create g ~weights:[| mid; mid; mid |] ~matrices in
+  let factor = target_util /. Multi.avg_utilization (Eval_ctx.to_multi ref_ctx) in
   let matrices = Array.map (fun m -> Matrix.scale m factor) matrices in
   Mtr_search.create_problem ~graph:g ~matrices
 

@@ -120,22 +120,14 @@ let make spec =
 let reference_avg_utilization inst =
   let mid = (Weights.min_weight + Weights.max_weight) / 2 in
   let w = Array.make (Graph.arc_count inst.graph) mid in
-  match inst.spec.topology with
-  | Large _ ->
-      (* Demand-only context: DAGs for the ~30-100 PoP destinations
-         instead of all 1k-10k nodes — same utilizations, since
-         inactive destinations carry no demand. *)
-      let ctx =
-        Eval_ctx.create ~dest_mode:Eval_ctx.Demand inst.graph
-          ~weights:[| w; w |]
-          ~matrices:[| inst.th; inst.tl |]
-      in
-      Evaluate.avg_utilization (Eval_ctx.to_evaluate ctx)
-  | _ ->
-      let eval =
-        Evaluate.evaluate inst.graph ~wh:w ~wl:w ~th:inst.th ~tl:inst.tl
-      in
-      Evaluate.avg_utilization eval
+  (* Demand-only context: DAGs only for the destinations that sink
+     demand (the ~30-100 PoPs of a large preset instead of all 1k-10k
+     nodes) — the same utilizations, since the others carry none. *)
+  let ctx =
+    Eval_ctx.create ~dest_mode:Eval_ctx.Demand inst.graph ~weights:[| w; w |]
+      ~matrices:[| inst.th; inst.tl |]
+  in
+  Evaluate.avg_utilization (Eval_ctx.to_evaluate ctx)
 
 let scale_to_utilization inst ~target =
   if target <= 0. then invalid_arg "Scenario.scale_to_utilization: bad target";

@@ -63,9 +63,11 @@ val create :
 (** Build a context from a full evaluation of [weights] (one vector
     per class; {e physically} equal vectors form a group that is
     re-routed together, exactly like {!Multi.evaluate}).  The vectors
-    are copied.  [dags], when given, must be the per-class DAG arrays
-    already computed for these weights (e.g. from a {!Evaluate.t}) and
-    skips the SPF rebuild.  [dest_mode] defaults to [All].
+    are copied.  This is the one from-scratch evaluation of production
+    code.  [dags], when given, must be the per-class DAG arrays
+    already computed for these weights (e.g. an earlier context's
+    {!dags} snapshot) and skips the SPF rebuild.  [dest_mode] defaults
+    to [All].
     @raise Invalid_argument on length/size mismatches, invalid
     weights, or unroutable positive demand. *)
 

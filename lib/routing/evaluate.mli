@@ -4,7 +4,12 @@
     capacities; low-priority traffic is routed on weights [wl] and sees
     only the residual capacity [max(C_l − H_l, 0)] (paper §3).  STR is
     the special case [wh == wl] (detected physically, computing the
-    shortest-path DAGs only once). *)
+    shortest-path DAGs only once).
+
+    The record {!t} is the two-class view every consumer reads
+    ({!Eval_ctx.to_evaluate} materializes it from the live engine);
+    {!evaluate} is the independent from-scratch reference and a test
+    oracle only — production code evaluates through {!Eval_ctx}. *)
 
 type t = {
   graph : Dtr_graph.Graph.t;
@@ -26,7 +31,10 @@ val evaluate :
   th:Dtr_traffic.Matrix.t ->
   tl:Dtr_traffic.Matrix.t ->
   t
-(** @raise Invalid_argument on invalid weights, size mismatches, or
+(** Reference from-scratch evaluation (test oracle): its own SPF sweep
+    and {!Loads.of_matrix} projection, independent of {!Eval_ctx},
+    which must match it bitwise.
+    @raise Invalid_argument on invalid weights, size mismatches, or
     unroutable positive demand. *)
 
 val assemble :
@@ -36,10 +44,8 @@ val assemble :
   dags_l:Dtr_graph.Spf.dag array ->
   l_loads:float array ->
   t
-(** Build the evaluation from precomputed per-class routings; lets a
-    local-search pass that mutates only one class reuse the other
-    class's shortest-path DAGs and loads.  The load arrays are not
-    copied. *)
+(** Build the evaluation from precomputed per-class routings (the
+    last step of {!evaluate}).  The load arrays are not copied. *)
 
 val utilization : t -> float array
 (** Per-arc [(H_l + L_l) / C_l]. *)

@@ -4,7 +4,11 @@
 
     The paper's DTR is the special case [T = 2]; this module is the
     substrate for the multi-topology extension the paper points to
-    (RFC 4915 supports up to 128 topologies). *)
+    (RFC 4915 supports up to 128 topologies).
+
+    The record {!t} is the [T]-class view ({!Eval_ctx.to_multi});
+    {!evaluate} is the from-scratch reference and a test oracle only —
+    production code evaluates through {!Eval_ctx}. *)
 
 type t = {
   graph : Dtr_graph.Graph.t;
@@ -24,7 +28,8 @@ val evaluate :
   weights:int array array ->
   matrices:Dtr_traffic.Matrix.t array ->
   t
-(** [evaluate g ~weights ~matrices] routes class [k] on
+(** Reference from-scratch evaluation (test oracle; {!Eval_ctx} must
+    match it bitwise).  [evaluate g ~weights ~matrices] routes class [k] on
     [weights.(k)] and charges it the Fortz cost against the capacity
     left by higher-priority classes.  Physically equal weight vectors
     share their shortest-path DAGs (so single-topology routing costs

@@ -1,6 +1,7 @@
-(** The paper's two optimization objectives as a single entry point:
-    evaluate a (dual) weight setting into a lexicographic cost, and
-    produce the per-link lexicographic costs Algorithm 2 sorts on. *)
+(** The paper's two optimization objectives: a cost model and the
+    lexicographic result {!of_eval} assembles from a two-class
+    evaluation.  {!evaluate} is the from-scratch reference and a test
+    oracle only; production code evaluates through {!Eval_ctx}. *)
 
 type model =
   | Load  (** [A = ⟨Φ_H, Φ_L⟩] — Eq. (2) *)
@@ -21,8 +22,10 @@ val evaluate :
   th:Dtr_traffic.Matrix.t ->
   tl:Dtr_traffic.Matrix.t ->
   result
-(** Full evaluation of a weight setting; [wh == wl] (physical equality)
-    is the STR case. *)
+(** Reference full evaluation of a weight setting ({!Evaluate.evaluate}
+    then {!of_eval}); [wh == wl] (physical equality) is the STR case.
+    A test oracle: outside the tests only {!Failure_sweep.oracle_sweep}
+    calls it. *)
 
 val of_eval :
   model ->
@@ -34,14 +37,5 @@ val of_eval :
 (** Assemble the objective from an existing two-class evaluation.
     Passing [?sla] (when the high-priority routing is unchanged from a
     previous evaluation) skips recomputing delays and penalties. *)
-
-val link_costs_h : model -> result -> Dtr_cost.Lexico.t array
-(** Per-arc lexicographic link costs for FindH:
-    [⟨Φ_{H,l}, Φ_{L,l}⟩] under [Load], [⟨D_l, Φ_{L,l}⟩] under
-    [Sla] (paper §4). *)
-
-val link_costs_l : result -> float array
-(** Per-arc costs for FindL: [Φ_{L,l}] (low-priority weights cannot
-    affect the high-priority class). *)
 
 val model_name : model -> string

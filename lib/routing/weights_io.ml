@@ -16,7 +16,7 @@ let to_string sets =
   done;
   Buffer.contents buf
 
-let of_string s =
+let of_string ?arcs s =
   let lines = String.split_on_char '\n' s in
   let header = ref None in
   let rows = Hashtbl.create 64 in
@@ -30,7 +30,14 @@ let of_string s =
           match parts with
           | [ "arcs"; m; "topologies"; t ] -> (
               match (int_of_string_opt m, int_of_string_opt t) with
-              | Some m, Some t when m > 0 && t > 0 -> header := Some (m, t)
+              | Some m, Some t when m > 0 && t > 0 -> (
+                  match arcs with
+                  | Some a when a <> m ->
+                      error :=
+                        Some
+                          (Printf.sprintf "line %d: %d arcs, topology has %d arcs"
+                             (lineno + 1) m a)
+                  | _ -> header := Some (m, t))
               | _ ->
                   error := Some (Printf.sprintf "line %d: bad header" (lineno + 1)))
           | "w" :: arc :: values -> (
@@ -90,11 +97,11 @@ let save sets path =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (to_string sets))
 
-let load path =
+let load ?arcs path =
   match open_in path with
   | exception Sys_error e -> Error e
   | ic ->
       let len = in_channel_length ic in
       let s = really_input_string ic len in
       close_in ic;
-      of_string s
+      of_string ?arcs s

@@ -14,10 +14,13 @@ val to_string : int array array -> string
     same length).  @raise Invalid_argument on an empty set list or
     mismatched lengths. *)
 
-val of_string : string -> (int array array, string) result
+val of_string : ?arcs:int -> string -> (int array array, string) result
 (** Parses and validates: every weight must lie in
     [[Weights.min_weight, Weights.max_weight]], every arc id in
-    [[0, m)] exactly once, every row carrying [t] values.  Errors are
+    [[0, m)] exactly once, every row carrying [t] values, and — given
+    [arcs], the arc count of the topology the weights are meant for —
+    [m = arcs] (a file saved on another topology is rejected at its
+    header: ["line 1: 70 arcs, topology has 500 arcs"]).  Errors are
     prefixed ["line N:"] when attributable to one line, so a rejected
     file points at the offending row. *)
 
@@ -25,4 +28,6 @@ val save : int array array -> string -> unit
 (** @raise Sys_error on I/O failure, [Invalid_argument] as
     {!to_string}. *)
 
-val load : string -> (int array array, string) result
+val load : ?arcs:int -> string -> (int array array, string) result
+(** {!of_string} of a file's contents; [Error] carries the I/O error
+    when the file cannot be opened. *)

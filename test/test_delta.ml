@@ -1,9 +1,9 @@
 (* Property tests for the incremental evaluation engine: Spf_delta
    against from-scratch SPF, Eval_ctx probes/commits/aborts against
    from-scratch Multi/Evaluate, and the Problem-level ctx API against
-   eval_str/eval_dtr — on random topologies under random single-weight
-   change sequences, to 1e-12 (the engine is in fact built to be
-   bitwise-identical). *)
+   eval_str/eval_dtr and, independently, Objective.evaluate — on random
+   topologies under random single-weight change sequences, to 1e-12
+   (the engine is in fact built to be bitwise-identical). *)
 
 module Prng = Dtr_util.Prng
 module Graph = Dtr_graph.Graph

@@ -579,23 +579,6 @@ let test_objective_sla () =
   checkf "secondary is phi_l" r.Objective.eval.Evaluate.phi_l
     r.Objective.objective.Lexico.secondary
 
-let test_objective_link_costs () =
-  let g, th, tl = two_class_line () in
-  let w = Weights.uniform g 1 in
-  let r = Objective.evaluate Objective.Load g ~wh:w ~wl:w ~th ~tl in
-  let costs = Objective.link_costs_h Objective.Load r in
-  Alcotest.(check int) "per arc" (Graph.arc_count g) (Array.length costs);
-  Array.iteri
-    (fun i c ->
-      checkf "primary = phi_h_l" r.Objective.eval.Evaluate.phi_h_per_arc.(i)
-        c.Lexico.primary)
-    costs;
-  let lcosts = Objective.link_costs_l r in
-  Array.iteri
-    (fun i c ->
-      checkf "findl cost" r.Objective.eval.Evaluate.phi_l_per_arc.(i) c)
-    lcosts
-
 (* ------------------------------------------------------------------ *)
 (* Multi-class evaluation *)
 
@@ -750,8 +733,8 @@ let test_weights_io_errors () =
 (* Rejection corpus: every malformed input must fail with an error
    that names the offending line, so a bad --init-weights file points
    the user at the exact row to fix. *)
-let check_rejected label src expected =
-  match Weights_io.of_string src with
+let check_rejected ?arcs label src expected =
+  match Weights_io.of_string ?arcs src with
   | Ok _ -> Alcotest.failf "%s: expected rejection" label
   | Error e -> Alcotest.(check string) label expected e
 
@@ -778,6 +761,16 @@ let test_weights_io_rejects_junk () =
     "line 2: bad weights";
   check_rejected "junk directive" "arcs 1 topologies 1\nweight 0 5\n"
     "line 2: unknown directive"
+
+let test_weights_io_rejects_other_topology () =
+  check_rejected ~arcs:500 "fewer arcs than the topology"
+    "arcs 2 topologies 1\nw 0 5\nw 1 6\n" "line 1: 2 arcs, topology has 500 arcs";
+  check_rejected ~arcs:1 "more arcs than the topology"
+    "# saved on another topology\narcs 2 topologies 2\nw 0 5 5\nw 1 6 6\n"
+    "line 2: 2 arcs, topology has 1 arcs";
+  match Weights_io.of_string ~arcs:2 "arcs 2 topologies 1\nw 0 5\nw 1 6\n" with
+  | Ok back -> Alcotest.(check (array int)) "matching topology" [| 5; 6 |] back.(0)
+  | Error e -> Alcotest.fail e
 
 let test_weights_io_rejects_mismatch () =
   Alcotest.check_raises "length mismatch"
@@ -937,7 +930,6 @@ let () =
         [
           Alcotest.test_case "load objective" `Quick test_objective_load;
           Alcotest.test_case "sla objective" `Quick test_objective_sla;
-          Alcotest.test_case "link costs" `Quick test_objective_link_costs;
           Alcotest.test_case "sla cache reuse" `Quick
             test_objective_of_eval_sla_cache;
         ] );
@@ -955,6 +947,8 @@ let () =
           Alcotest.test_case "rejects short row" `Quick
             test_weights_io_rejects_short_row;
           Alcotest.test_case "rejects junk" `Quick test_weights_io_rejects_junk;
+          Alcotest.test_case "rejects other topology" `Quick
+            test_weights_io_rejects_other_topology;
           Alcotest.test_case "rejects mismatch" `Quick
             test_weights_io_rejects_mismatch;
           Alcotest.test_case "file roundtrip" `Quick
