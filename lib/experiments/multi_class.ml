@@ -22,7 +22,9 @@ let problem ?(seed = 83) ?(target_util = 0.6) () =
   let matrices = [| gold; silver; bronze |] in
   let mid = Array.make (Graph.arc_count g) 15 in
   let ref_ctx = Eval_ctx.create g ~weights:[| mid; mid; mid |] ~matrices in
-  let factor = target_util /. Multi.avg_utilization (Eval_ctx.to_multi ref_ctx) in
+  let factor =
+    target_util /. Multi.avg_utilization (Eval_ctx.to_multi ref_ctx)
+  in
   let matrices = Array.map (fun m -> Matrix.scale m factor) matrices in
   Mtr_search.create_problem ~graph:g ~matrices
 

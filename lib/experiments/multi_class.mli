@@ -4,7 +4,8 @@
     Expected: the highest class is unaffected, every lower class
     improves, the lowest by the largest factor. *)
 
-val problem : ?seed:int -> ?target_util:float -> unit -> Dtr_core.Mtr_search.problem
+val problem :
+  ?seed:int -> ?target_util:float -> unit -> Dtr_core.Mtr_search.problem
 (** The experiment's instance: the ISP backbone with gold / silver /
     bronze matrices drawn from [seed] (default 83) and scaled so that
     shortest-path routing on uniform weights reaches [target_util]
