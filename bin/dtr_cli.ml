@@ -145,16 +145,15 @@ let load_weight_pair g path =
         (Printf.sprintf "%s: expected 1 or 2 weight topologies, found %d" path
            (Array.length sets))
 
-let scan_jobs_arg =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "scan-jobs" ] ~docv:"N"
-        ~doc:
-          "Worker domains for the neighborhood-scan engine inside each \
-           search (default 1 = sequential).  Orthogonal to --jobs, \
-           which parallelizes across restarts/experiments; results are \
-           bit-identical for every value.")
+let scan_jobs_info =
+  Arg.info [ "scan-jobs" ] ~docv:"N"
+    ~doc:
+      "Worker domains for the neighborhood-scan engine inside each \
+       search (default 1 = sequential).  Orthogonal to --jobs, which \
+       parallelizes across restarts/experiments; results are \
+       bit-identical for every value."
+
+let scan_jobs_arg = Arg.(value & opt int 1 & scan_jobs_info)
 
 let with_scan_jobs preset scan_jobs =
   { preset with Dtr_core.Search_config.scan_jobs }
@@ -1202,12 +1201,28 @@ let bench_cmd =
           write_file path (to_json ());
           Printf.printf "wrote %s\n" path
     in
-    if search then begin
+    (* Each tier reads its own flags; one the chosen tier would not
+       read is a usage error, never silently ignored. *)
+    let misplaced =
+      if search then
+        if probes <> None then
+          Some "--probes applies to the evaluation tier only, not to --search"
+        else None
+      else if time_budget <> None then
+        Some "--time-budget applies to --search only, not to the evaluation tier"
+      else if scan_jobs <> None then
+        Some "--scan-jobs applies to --search only, not to the evaluation tier"
+      else None
+    in
+    match misplaced with
+    | Some msg -> `Error (true, msg)
+    | None when search ->
       (* Search tier: full STR + DTR runs per preset — default to the
          smallest preset only; 5k/10k are explicit opt-ins. *)
       let names = match presets with [] -> [ "ts-1k" ] | ps -> ps in
       let cfg =
-        with_scan_jobs Dtr_core.Search_config.quick scan_jobs
+        with_scan_jobs Dtr_core.Search_config.quick
+          (Option.value scan_jobs ~default:1)
       in
       let rows =
         List.concat_map
@@ -1226,18 +1241,19 @@ let bench_cmd =
           names
       in
       print_endline (Dtr_util.Table.to_string (Search_bench.table rows));
-      write_json (fun () -> Search_bench.to_json ~seed rows)
-    end
-    else begin
+      write_json (fun () -> Search_bench.to_json ~seed rows);
+      `Ok ()
+    | None ->
       let names =
         match presets with [] -> Dtr_topology.Large.names () | ps -> ps
       in
+      let probes = Option.value probes ~default:Large_bench.default_probes in
       let rows =
         Large_bench.run ~probes ~progress:(Printf.printf "%s\n%!") ~seed names
       in
       print_endline (Dtr_util.Table.to_string (Large_bench.table rows));
-      write_json (fun () -> Large_bench.to_json ~seed ~probes rows)
-    end
+      write_json (fun () -> Large_bench.to_json ~seed ~probes rows);
+      `Ok ()
   in
   let presets_arg =
     Arg.(
@@ -1251,10 +1267,15 @@ let bench_cmd =
   let probes_arg =
     Arg.(
       value
-      & opt int Dtr_experiments.Large_bench.default_probes
+      & opt (some int) None
       & info [ "probes" ] ~docv:"N"
-          ~doc:"Timed single-weight-change probes per preset.")
+          ~doc:
+            (Printf.sprintf
+               "Timed single-weight-change probes per preset (default \
+                %d).  Evaluation tier only."
+               Dtr_experiments.Large_bench.default_probes))
   in
+  let scan_jobs_arg = Arg.(value & opt (some int) None & scan_jobs_info) in
   let json_arg =
     Arg.(
       value
@@ -1273,7 +1294,9 @@ let bench_cmd =
              each preset and report time-to-first-improvement and \
              iterations/sec — the BENCH_search_large.json tier.  \
              Defaults to ts-1k only; pass presets explicitly for the \
-             5k/10k tiers.  --probes is ignored in this mode.")
+             5k/10k tiers.  --time-budget and --scan-jobs apply in \
+             this mode only, --probes in the evaluation tier only; a \
+             flag the chosen tier does not read is a usage error.")
   in
   Cmd.v
     (Cmd.info "bench"
@@ -1283,8 +1306,9 @@ let bench_cmd =
           percentiles, evals/sec and peak RSS per preset — or, with \
           --search, the search loops themselves")
     Term.(
-      const run $ presets_arg $ seed_arg $ probes_arg $ json_arg $ search_arg
-      $ time_budget_arg $ scan_jobs_arg)
+      ret
+        (const run $ presets_arg $ seed_arg $ probes_arg $ json_arg
+       $ search_arg $ time_budget_arg $ scan_jobs_arg))
 
 (* ------------------------------------------------------------------ *)
 (* version                                                            *)

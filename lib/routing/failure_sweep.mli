@@ -109,9 +109,9 @@ val oracle_sweep :
   outcome array
 (** {!oracle} over every physical link, in
     {!Dtr_graph.Graph.undirected_link_pairs} order.  A reference
-    oracle (via {!Objective.evaluate}): the tests, the benchmark's
-    correctness gate and [bench/] check {!sweep} against it; no search
-    or report path calls it. *)
+    oracle (via {!Objective.evaluate}): the tests and the benchmark's
+    correctness gate check {!sweep} against it; no search or report
+    path calls it. *)
 
 val penalty : ?top_k:int -> outcome array -> Dtr_cost.Lexico.t
 (** Mean of the [top_k] worst {e finite} outcomes (default 1 = pure

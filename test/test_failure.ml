@@ -73,12 +73,7 @@ let check_outcome ~what i (e : Failure_sweep.outcome)
 (* ------------------------------------------------------------------ *)
 (* Delta sweep vs from-scratch oracle *)
 
-let sweep_matches_oracle ~model seed =
-  let g = fixture seed in
-  let rng = Prng.create ((seed * 13) + 5) in
-  let th, tl = random_matrices rng g in
-  let wh = Weights.random rng g in
-  let wl = Weights.random rng g in
+let check_sweep_vs_oracle ~model g ~wh ~wl ~th ~tl =
   let ctx = Eval_ctx.create g ~weights:[| wh; wl |] ~matrices:[| th; tl |] in
   let delta = Failure_sweep.sweep ~model ~th ctx in
   let oracle = Failure_sweep.oracle_sweep ~model g ~wh ~wl ~th ~tl in
@@ -89,6 +84,14 @@ let sweep_matches_oracle ~model seed =
   Alcotest.(check int) "same length" (Array.length oracle) (Array.length delta);
   Array.iteri (fun i e -> check_outcome ~what:"delta=oracle" i e delta.(i)) oracle
 
+let sweep_matches_oracle ~model seed =
+  let g = fixture seed in
+  let rng = Prng.create ((seed * 13) + 5) in
+  let th, tl = random_matrices rng g in
+  let wh = Weights.random rng g in
+  let wl = Weights.random rng g in
+  check_sweep_vs_oracle ~model g ~wh ~wl ~th ~tl
+
 let test_sweep_matches_oracle_load () =
   for seed = 0 to 11 do
     sweep_matches_oracle ~model:Objective.Load seed
@@ -98,6 +101,27 @@ let test_sweep_matches_oracle_sla () =
   for seed = 0 to 7 do
     sweep_matches_oracle ~model:(Objective.Sla Dtr_cost.Sla.default) seed
   done
+
+(* The paper's 50-node random topology (250 links, seed 1): gravity
+   L, H on 10 % of the pairs at 30 % of their L volume, random W_H and
+   W_L: the scale of the paper's evaluation, beyond the 12-node
+   fixtures above. *)
+let test_sweep_matches_oracle_rand50 () =
+  let root = Prng.create 1 in
+  let topo_rng = Prng.split root in
+  let traffic_rng = Prng.split root in
+  let weight_rng = Prng.split root in
+  let g =
+    Dtr_topology.Random_topo.generate topo_rng
+      { Dtr_topology.Random_topo.default with nodes = 50; links = 250 }
+  in
+  let n = Graph.node_count g in
+  let tl = Gravity.generate traffic_rng ~n Gravity.default in
+  let pairs = Highpri.random_pairs traffic_rng ~n ~density:0.10 in
+  let th = Highpri.volumes traffic_rng ~low:tl ~fraction:0.30 ~pairs in
+  let wh = Weights.random weight_rng g in
+  let wl = Weights.random weight_rng g in
+  check_sweep_vs_oracle ~model:Objective.Load g ~wh ~wl ~th ~tl
 
 let test_sweep_str_weights () =
   (* An STR setting (wh == wl, one routing group) takes the grouped
@@ -645,6 +669,8 @@ let () =
             test_sweep_matches_oracle_load;
           Alcotest.test_case "sla model (bitwise)" `Quick
             test_sweep_matches_oracle_sla;
+          Alcotest.test_case "rand50 (bitwise)" `Quick
+            test_sweep_matches_oracle_rand50;
           Alcotest.test_case "str weights" `Quick test_sweep_str_weights;
           Alcotest.test_case "parallel links" `Quick
             test_sweep_matches_oracle_parallel_links;

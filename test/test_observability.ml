@@ -2,9 +2,12 @@
    round-trips and probe decimation, flow attribution (the bitwise
    reconciliation contract), the weight-diff churn engine (self-diff
    emptiness, golden output on Abilene, batched MT-OSPF deployment),
-   and aggregated run reports. *)
+   aggregated run reports, and the cost guards of the instrumentation
+   (disabled trace/metrics allocate nothing; attribution reruns no
+   evaluation). *)
 
 module Json = Dtr_util.Json
+module Metrics = Dtr_util.Metrics
 module Prng = Dtr_util.Prng
 module Graph = Dtr_graph.Graph
 module Spf = Dtr_graph.Spf
@@ -18,6 +21,7 @@ module Objective = Dtr_routing.Objective
 module Network = Dtr_mtospf.Network
 module Search_config = Dtr_core.Search_config
 module Problem = Dtr_core.Problem
+module Str_search = Dtr_core.Str_search
 module Dtr_search = Dtr_core.Dtr_search
 module Multistart = Dtr_core.Multistart
 module Trace = Dtr_core.Trace
@@ -642,6 +646,99 @@ let test_report_load_errors () =
   Alcotest.(check bool) "all-garbage trace is an error" true
     (Result.is_error (Report_gen.load path))
 
+(* ------------------------------------------------------------------ *)
+(* Cost guards.  Counted in allocated words and evaluation counters,
+   not wall-clock time, so they hold exactly on any machine. *)
+
+(* The paper's 50-node random topology (250 links, seed 1): gravity L,
+   H on 10 % of the pairs at 30 % of their L volume. *)
+let rand50 () =
+  let root = Prng.create 1 in
+  let topo_rng = Prng.split root in
+  let traffic_rng = Prng.split root in
+  let g =
+    Dtr_topology.Random_topo.generate topo_rng
+      { Dtr_topology.Random_topo.default with nodes = 50; links = 250 }
+  in
+  let n = Graph.node_count g in
+  let tl = Dtr_traffic.Gravity.generate traffic_rng ~n Dtr_traffic.Gravity.default in
+  let pairs = Dtr_traffic.Highpri.random_pairs traffic_rng ~n ~density:0.10 in
+  let th = Dtr_traffic.Highpri.volumes traffic_rng ~low:tl ~fraction:0.30 ~pairs in
+  (g, th, tl)
+
+(* Recording is on only inside [f]; the registry is left off and
+   zeroed whatever happens. *)
+let with_metrics f =
+  Metrics.set_enabled true;
+  Metrics.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.set_enabled false;
+      Metrics.reset ())
+    f
+
+(* A disabled trace sink is one pointer compare per event and a
+   disabled registry one branch: neither may allocate.  So a short STR
+   run with both off allocates strictly fewer minor words than the
+   same run recording into a ring (probe events on), and than the same
+   run with metrics on.  One domain, so [Gc.minor_words] sees all of
+   the run's allocation. *)
+let test_disabled_instrumentation_allocates_least () =
+  let g, th, tl = rand50 () in
+  let p = Problem.create ~graph:g ~th ~tl ~model:Objective.Load in
+  let cfg =
+    { Search_config.quick with Search_config.scan_jobs = 1; trace_probes = true }
+  in
+  let words ?trace () =
+    let before = Gc.minor_words () in
+    ignore (Str_search.run ~iters:20 ?trace (Prng.create 1) cfg p);
+    Gc.minor_words () -. before
+  in
+  Metrics.set_enabled false;
+  ignore (words ());
+  let disabled = words () in
+  let ring = words ~trace:(Trace.ring ()) () in
+  let metered = with_metrics words in
+  Alcotest.(check bool)
+    (Printf.sprintf "disabled %.0f < ring sink %.0f words" disabled ring)
+    true (disabled < ring);
+  Alcotest.(check bool)
+    (Printf.sprintf "disabled %.0f < metrics on %.0f words" disabled metered)
+    true (disabled < metered)
+
+(* Attribution reads the contribution rows a context already holds:
+   explaining every arc of both classes and building the hottest-links
+   table runs no SPF, no delta update, no probe and no full
+   evaluation. *)
+let test_attribution_reruns_nothing () =
+  with_metrics @@ fun () ->
+  let g, th, tl = rand50 () in
+  let wh = Weights.uniform g 15 and wl = Weights.uniform g 14 in
+  let ctx = Eval_ctx.create g ~weights:[| wh; wl |] ~matrices:[| th; tl |] in
+  let names =
+    [ "dtr_spf_runs_total"; "dtr_spf_delta_updates_total";
+      "dtr_eval_probes_total"; "dtr_eval_full_total" ]
+  in
+  let values () =
+    List.map
+      (fun name -> Metrics.counter_value (Metrics.counter ~help:"" name))
+      names
+  in
+  let before = values () in
+  Alcotest.(check bool) "the context build ran SPFs" true
+    (List.hd before > 0);
+  for klass = 0 to Eval_ctx.class_count ctx - 1 do
+    for arc = 0 to Graph.arc_count g - 1 do
+      ignore (Attribution.by_destination ctx ~klass ~arc);
+      ignore (Attribution.by_pair ctx ~klass ~arc)
+    done
+  done;
+  ignore (Attribution.hottest_table ctx);
+  List.iter2
+    (fun name (b, a) -> Alcotest.(check int) (name ^ " unchanged") b a)
+    names
+    (List.combine before (values ()))
+
 let () =
   Alcotest.run "observability"
     [
@@ -693,5 +790,12 @@ let () =
           Alcotest.test_case "restart rows per algorithm" `Quick
             test_report_restart_rows_per_algorithm;
           Alcotest.test_case "load errors" `Quick test_report_load_errors;
+        ] );
+      ( "guards",
+        [
+          Alcotest.test_case "disabled probes allocate least" `Quick
+            test_disabled_instrumentation_allocates_least;
+          Alcotest.test_case "attribution reruns no evaluation" `Quick
+            test_attribution_reruns_nothing;
         ] );
     ]

@@ -384,64 +384,76 @@ let test_dtr_scan_jobs_invariance () =
    one candidate that restores the (never-memoized) starting vector
    misses.  Identical at every jobs value — this also pins the
    parallel count-transfer scheme (per-task measurement rolled back
-   and re-added on the calling domain). *)
+   and re-added on the calling domain) — and the first scan's
+   summaries are bitwise equal across jobs. *)
 let test_scan_memo_exact_counts () =
+  let same (x : Scan.summary) (y : Scan.summary) =
+    Lexico.compare x.Scan.objective y.Scan.objective = 0
+    && x.Scan.phi_h = y.Scan.phi_h
+    && x.Scan.phi_l = y.Scan.phi_l
+  in
+  let first_scans =
+    List.map
+      (fun jobs ->
+        let p = ring_problem () in
+        let mid = (Weights.min_weight + Weights.max_weight) / 2 in
+        let w0 = Weights.uniform p.Problem.graph mid in
+        Scan.with_engine ~jobs p @@ fun scan ->
+        let sol = Problem.eval_str p ~w:w0 in
+        let ctx = Problem.ctx_of_solution p sol in
+        let memo = Vmemo.create () in
+        let candidates_excluding current =
+          let acc = ref [] in
+          for v = Weights.max_weight downto Weights.min_weight do
+            if v <> current then acc := v :: !acc
+          done;
+          Array.of_list !acc
+        in
+        let vals = candidates_excluding w0.(0) in
+        let n = Array.length vals in
+        let changes_of i = [ (0, vals.(i)) ] in
+        let e0 = Problem.domain_evaluations () in
+        let s1 = Scan.evaluate scan ctx ~memo ~cls:`H ~changes_of n in
+        Alcotest.(check int) "first scan: all misses" n (Vmemo.misses memo);
+        Alcotest.(check int) "first scan: no hits" 0 (Vmemo.hits memo);
+        Alcotest.(check int) "first scan: n counted evaluations" n
+          (Problem.domain_evaluations () - e0);
+        let s2 = Scan.evaluate scan ctx ~memo ~cls:`H ~changes_of n in
+        Alcotest.(check int) "revisit: all hits" n (Vmemo.hits memo);
+        Alcotest.(check int) "revisit: no new misses" n (Vmemo.misses memo);
+        Alcotest.(check int) "revisit: zero new evaluations" n
+          (Problem.domain_evaluations () - e0);
+        Array.iteri
+          (fun i (x : Scan.summary) ->
+            let y = s2.(i) in
+            Alcotest.(check bool) "cached summary bitwise-equal" true
+              (same x y))
+          s1;
+        let sol' = Scan.commit scan ctx ~cls:`H ~changes:(changes_of 0) in
+        Alcotest.(check int) "commit is uncounted" n
+          (Problem.domain_evaluations () - e0);
+        Alcotest.(check int) "committed weight installed" vals.(0)
+          sol'.Problem.wh.(0);
+        let vals' = candidates_excluding vals.(0) in
+        ignore
+          (Scan.evaluate scan ctx ~memo ~cls:`H
+             ~changes_of:(fun i -> [ (0, vals'.(i)) ])
+             (Array.length vals'));
+        Alcotest.(check int) "post-commit: one miss (the starting vector)"
+          (n + 1) (Vmemo.misses memo);
+        Alcotest.(check int) "post-commit: every other candidate hits"
+          ((2 * n) - 1)
+          (Vmemo.hits memo);
+        Alcotest.(check int) "post-commit: one counted evaluation" (n + 1)
+          (Problem.domain_evaluations () - e0);
+        s1)
+    [ 1; 3; 4 ]
+  in
   List.iter
-    (fun jobs ->
-      let p = ring_problem () in
-      let mid = (Weights.min_weight + Weights.max_weight) / 2 in
-      let w0 = Weights.uniform p.Problem.graph mid in
-      Scan.with_engine ~jobs p @@ fun scan ->
-      let sol = Problem.eval_str p ~w:w0 in
-      let ctx = Problem.ctx_of_solution p sol in
-      let memo = Vmemo.create () in
-      let candidates_excluding current =
-        let acc = ref [] in
-        for v = Weights.max_weight downto Weights.min_weight do
-          if v <> current then acc := v :: !acc
-        done;
-        Array.of_list !acc
-      in
-      let vals = candidates_excluding w0.(0) in
-      let n = Array.length vals in
-      let changes_of i = [ (0, vals.(i)) ] in
-      let e0 = Problem.domain_evaluations () in
-      let s1 = Scan.evaluate scan ctx ~memo ~cls:`H ~changes_of n in
-      Alcotest.(check int) "first scan: all misses" n (Vmemo.misses memo);
-      Alcotest.(check int) "first scan: no hits" 0 (Vmemo.hits memo);
-      Alcotest.(check int) "first scan: n counted evaluations" n
-        (Problem.domain_evaluations () - e0);
-      let s2 = Scan.evaluate scan ctx ~memo ~cls:`H ~changes_of n in
-      Alcotest.(check int) "revisit: all hits" n (Vmemo.hits memo);
-      Alcotest.(check int) "revisit: no new misses" n (Vmemo.misses memo);
-      Alcotest.(check int) "revisit: zero new evaluations" n
-        (Problem.domain_evaluations () - e0);
-      Array.iteri
-        (fun i (x : Scan.summary) ->
-          let y = s2.(i) in
-          Alcotest.(check bool) "cached summary bitwise-equal" true
-            (Lexico.compare x.Scan.objective y.Scan.objective = 0
-            && x.Scan.phi_h = y.Scan.phi_h
-            && x.Scan.phi_l = y.Scan.phi_l))
-        s1;
-      let sol' = Scan.commit scan ctx ~cls:`H ~changes:(changes_of 0) in
-      Alcotest.(check int) "commit is uncounted" n
-        (Problem.domain_evaluations () - e0);
-      Alcotest.(check int) "committed weight installed" vals.(0)
-        sol'.Problem.wh.(0);
-      let vals' = candidates_excluding vals.(0) in
-      ignore
-        (Scan.evaluate scan ctx ~memo ~cls:`H
-           ~changes_of:(fun i -> [ (0, vals'.(i)) ])
-           (Array.length vals'));
-      Alcotest.(check int) "post-commit: one miss (the starting vector)"
-        (n + 1) (Vmemo.misses memo);
-      Alcotest.(check int) "post-commit: every other candidate hits"
-        ((2 * n) - 1)
-        (Vmemo.hits memo);
-      Alcotest.(check int) "post-commit: one counted evaluation" (n + 1)
-        (Problem.domain_evaluations () - e0))
-    [ 1; 3 ]
+    (fun s ->
+      Alcotest.(check bool) "summaries equal to jobs 1" true
+        (Array.for_all2 same (List.hd first_scans) s))
+    (List.tl first_scans)
 
 (* ------------------------------------------------------------------ *)
 (* Trace determinism: the event stream (not just the result) must be

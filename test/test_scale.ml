@@ -569,7 +569,11 @@ let run_searches ~model ~scan_jobs ~reference_loops =
 let check_reference_identical ~model ~scan_jobs () =
   let si, di = run_searches ~model ~scan_jobs ~reference_loops:false in
   let sr, dr = run_searches ~model ~scan_jobs ~reference_loops:true in
-  let lex = Alcotest.testable (Fmt.any "lexico") (fun a b -> a = b) in
+  let lex =
+    Alcotest.testable
+      (fun ppf _ -> Format.pp_print_string ppf "lexico")
+      (fun a b -> a = b)
+  in
   Alcotest.(check lex) "STR objective" sr.Str_search.objective
     si.Str_search.objective;
   Alcotest.(check (array int))
