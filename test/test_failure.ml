@@ -102,10 +102,10 @@ let test_sweep_matches_oracle_sla () =
     sweep_matches_oracle ~model:(Objective.Sla Dtr_cost.Sla.default) seed
   done
 
-(* The paper's 50-node random topology (250 links, seed 1): gravity
-   L, H on 10 % of the pairs at 30 % of their L volume, random W_H and
-   W_L: the scale of the paper's evaluation, beyond the 12-node
-   fixtures above. *)
+(* A 50-node random topology (250 links, seed 1): gravity L, H on
+   10 % of the pairs at 30 % of their L volume, random W_H and W_L —
+   the paper's largest scale, which the 12-node fixtures above do not
+   reach. *)
 let test_sweep_matches_oracle_rand50 () =
   let root = Prng.create 1 in
   let topo_rng = Prng.split root in

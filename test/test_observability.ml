@@ -650,8 +650,8 @@ let test_report_load_errors () =
 (* Cost guards.  Counted in allocated words and evaluation counters,
    not wall-clock time, so they hold exactly on any machine. *)
 
-(* The paper's 50-node random topology (250 links, seed 1): gravity L,
-   H on 10 % of the pairs at 30 % of their L volume. *)
+(* A 50-node random topology (250 links, seed 1): gravity L, H on
+   10 % of the pairs at 30 % of their L volume. *)
 let rand50 () =
   let root = Prng.create 1 in
   let topo_rng = Prng.split root in
