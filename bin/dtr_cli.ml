@@ -1219,26 +1219,20 @@ let bench_cmd =
     | None when search ->
       (* Search tier: full STR + DTR runs per preset — default to the
          smallest preset only; 5k/10k are explicit opt-ins. *)
-      let names = match presets with [] -> [ "ts-1k" ] | ps -> ps in
+      let presets =
+        Dtr_topology.Large.resolve
+          (match presets with [] -> [ "ts-1k" ] | ps -> ps)
+      in
       let cfg =
         with_scan_jobs Dtr_core.Search_config.quick
           (Option.value scan_jobs ~default:1)
       in
       let rows =
         List.concat_map
-          (fun name ->
-            match Dtr_topology.Large.find name with
-            | None ->
-                failwith
-                  (Printf.sprintf "unknown large preset: %s (expected one \
-                                   of: %s)"
-                     name
-                     (String.concat ", " (Dtr_topology.Large.names ())))
-            | Some p ->
-                Search_bench.run ~cfg ~seed ?time_budget
-                  ~progress:(Printf.eprintf "%s\n%!")
-                  ~model:Dtr_routing.Objective.Load p)
-          names
+          (Search_bench.run ~cfg ~seed ?time_budget
+             ~progress:(Printf.eprintf "%s\n%!")
+             ~model:Dtr_routing.Objective.Load)
+          presets
       in
       print_endline (Dtr_util.Table.to_string (Search_bench.table rows));
       write_json (fun () -> Search_bench.to_json ~seed rows);

@@ -3,6 +3,7 @@ module Matrix = Dtr_traffic.Matrix
 module Objective = Dtr_routing.Objective
 module Evaluate = Dtr_routing.Evaluate
 module Eval_ctx = Dtr_routing.Eval_ctx
+module Lambda = Dtr_routing.Lambda
 module Lexico = Dtr_cost.Lexico
 
 type t = {
@@ -121,10 +122,10 @@ let is_str s = s.wh == s.wl
    A [ctx] wraps an {!Eval_ctx.t} with class 0 = H, class 1 = L (for
    STR both classes alias one weight vector, so one probe moves both).
    [eval_delta] scores every candidate as a probe, under both cost
-   models.  Under the SLA model a change that moves W_H moves the
-   delay of every H path, so Λ is re-walked over the probe's class-0
-   DAGs and Φ row (Evaluate.sla_of_rows — the same fold a full
-   evaluation runs); a W_L change leaves Λ at the context's value. *)
+   models.  Under the SLA model a change that moves W_H is priced by
+   {!Lambda.probe} against the context's Λ state (re-walking only the
+   destinations whose DAG or delays the probe moved); a W_L change
+   leaves Λ at the context's value. *)
 
 type cls = [ `H | `L ]
 
@@ -133,9 +134,12 @@ module Vhash = Dtr_util.Vhash
 type ctx = {
   ec : Eval_ctx.t;
   c_str : bool;
-  mutable c_sla : Evaluate.sla option;
-      (* delay/penalty evaluation of the context's CURRENT high-priority
-         routing (SLA model); replaced whenever a commit moves W_H *)
+  mutable c_lam : Lambda.t option;
+      (* Λ state of the context's CURRENT high-priority routing (SLA
+         model), built on first demand and replaced whenever a commit
+         moves W_H; immutable, so clones share it *)
+  mutable c_scratch : Lambda.scratch option;
+      (* this context's own Λ probe workspace (never shared) *)
   mutable c_version : int;  (* bumps on every commit *)
   mutable c_log : (int * int array) list;
       (* newest-first (version, arcs whose per-arc rows that commit
@@ -155,7 +159,8 @@ let ctx_of_solution t s =
       Eval_ctx.create ~dags ~dest_mode:t.dest_mode t.graph ~weights
         ~matrices:[| t.th; t.tl |];
     c_str = is_str s;
-    c_sla = s.result.Objective.sla;
+    c_lam = None;
+    c_scratch = None;
     c_version = 0;
     c_log = [];
     c_key = None;
@@ -171,7 +176,8 @@ let ctx_of_weights t ~wh ~wl =
       Eval_ctx.create ~dest_mode:t.dest_mode t.graph ~weights:[| wh; wl |]
         ~matrices:[| t.th; t.tl |];
     c_str = wh == wl;
-    c_sla = None;
+    c_lam = None;
+    c_scratch = None;
     c_version = 0;
     c_log = [];
     c_key = None;
@@ -233,7 +239,8 @@ let clone_ctx _t ctx =
   {
     ec = Eval_ctx.clone ctx.ec;
     c_str = ctx.c_str;
-    c_sla = ctx.c_sla;
+    c_lam = ctx.c_lam;
+    c_scratch = None;
     c_version = ctx.c_version;
     c_log = ctx.c_log;
     c_key = ctx.c_key;
@@ -243,20 +250,26 @@ let sync_ctx ~src ~dst =
   if src.c_str <> dst.c_str then
     invalid_arg "Problem.sync_ctx: class-sharing mismatch";
   Eval_ctx.sync ~src:src.ec ~dst:dst.ec;
-  dst.c_sla <- src.c_sla;
+  dst.c_lam <- src.c_lam;
   dst.c_version <- src.c_version;
   dst.c_log <- src.c_log;
   dst.c_key <- src.c_key
 
-let ctx_sla params t ctx =
-  match ctx.c_sla with
-  | Some sla -> sla
+let ctx_lambda params t ctx =
+  match ctx.c_lam with
+  | Some lam -> lam
   | None ->
-      let sla =
-        Evaluate.evaluate_sla params (Eval_ctx.to_evaluate ctx.ec) ~th:t.th
-      in
-      ctx.c_sla <- Some sla;
-      sla
+      let lam = Lambda.of_ctx params ~th:t.th ctx.ec in
+      ctx.c_lam <- Some lam;
+      lam
+
+let ctx_scratch lam ctx =
+  match ctx.c_scratch with
+  | Some sc -> sc
+  | None ->
+      let sc = Lambda.scratch lam in
+      ctx.c_scratch <- Some sc;
+      sc
 
 let ctx_solution t ctx =
   let ev = Eval_ctx.to_evaluate ctx.ec in
@@ -266,7 +279,9 @@ let ctx_solution t ctx =
     match t.model with
     | Objective.Load -> Objective.of_eval t.model ev ~th:t.th ()
     | Objective.Sla params ->
-        Objective.of_eval t.model ev ~th:t.th ~sla:(ctx_sla params t ctx) ()
+        Objective.of_eval t.model ev ~th:t.th
+          ~sla:(Lambda.to_sla (ctx_lambda params t ctx))
+          ()
   in
   { wh; wl; result }
 
@@ -290,9 +305,6 @@ type delta = {
   d_cls : cls;
   d_changes : (int * int) list;  (* the candidate's (arc, weight) changes *)
   d_probe : Eval_ctx.probe;
-  d_sla : Evaluate.sla option;
-      (* the candidate's SLA evaluation when the probe moved W_H under
-         the SLA model; None otherwise *)
   d_objective : Lexico.t;
   d_phi_h : float;
   d_phi_l : float;
@@ -304,33 +316,28 @@ let delta_phi_h d = d.d_phi_h
 
 let delta_phi_l d = d.d_phi_l
 
+let moves_h ctx cls = ctx.c_str || cls = `H
+
 let eval_delta ?(count = true) t ctx ~cls ~changes =
   if count then count_delta ();
   let p =
     Eval_ctx.probe ctx.ec ~klass:(match cls with `H -> 0 | `L -> 1) ~changes
   in
   let phi = Eval_ctx.probe_phi p in
-  let primary, d_sla =
+  let primary =
     match t.model with
-    | Objective.Load -> (phi.(0), None)
+    | Objective.Load -> phi.(0)
     | Objective.Sla params ->
-        if ctx.c_str || cls = `H then
-          let sla =
-            Evaluate.sla_of_rows params t.graph
-              ~dags_h:(Eval_ctx.probe_dags ctx.ec p 0)
-              ~phi_h_per_arc:(Eval_ctx.probe_phi_row ctx.ec p 0)
-              ~th:t.th
-          in
-          (sla.Evaluate.lambda, Some sla)
+        let lam = ctx_lambda params t ctx in
+        if moves_h ctx cls then Lambda.probe lam (ctx_scratch lam ctx) ctx.ec p
         else
           (* W_L cannot affect the H routing, so Λ is the context's. *)
-          ((ctx_sla params t ctx).Evaluate.lambda, None)
+          Lambda.lambda lam
   in
   {
     d_cls = cls;
     d_changes = changes;
     d_probe = p;
-    d_sla;
     d_objective = Lexico.make ~primary ~secondary:phi.(1);
     d_phi_h = phi.(0);
     d_phi_l = phi.(1);
@@ -351,7 +358,7 @@ let ctx_arc_cmp_h t ctx =
         let c = Float.compare phi_h.(a) phi_h.(b) in
         if c <> 0 then c else Float.compare phi_l.(a) phi_l.(b)
   | Objective.Sla params ->
-      let delay = (ctx_sla params t ctx).Evaluate.arc_delay in
+      let delay = Lambda.arc_delay (ctx_lambda params t ctx) in
       fun a b ->
         let c = Float.compare delay.(a) delay.(b) in
         if c <> 0 then c else Float.compare phi_l.(a) phi_l.(b)
@@ -401,10 +408,14 @@ let trim_log log =
 let commit_delta t ctx d =
   shift_key ctx ~cls:d.d_cls ~changes:d.d_changes;
   let touched = Array.of_list (Eval_ctx.probe_touched d.d_probe) in
+  (match ctx.c_lam with
+  | Some lam when moves_h ctx d.d_cls ->
+      ctx.c_lam <-
+        Some (Lambda.commit lam (ctx_scratch lam ctx) ctx.ec d.d_probe)
+  | _ -> ());
   Eval_ctx.commit ctx.ec d.d_probe;
   ctx.c_version <- ctx.c_version + 1;
   ctx.c_log <- trim_log ((ctx.c_version, touched) :: ctx.c_log);
-  if ctx.c_str || d.d_cls = `H then ctx.c_sla <- d.d_sla;
   ctx_solution t ctx
 
 let abort_delta ctx d = Eval_ctx.abort ctx.ec d.d_probe

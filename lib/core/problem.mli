@@ -62,10 +62,11 @@ val is_str : solution -> bool
     (apply/undo — probes never modify the context), then
     {!commit_delta} the winner (advancing the context) or
     {!abort_delta} the rest.  Every candidate is a probe, under both
-    cost models: under the SLA model a change that moves W_H re-walks
-    Λ over the probe's high-priority DAGs and Fortz row
-    ({!Dtr_routing.Evaluate.sla_of_rows}), and committing it installs
-    that SLA evaluation as the context's. *)
+    cost models: under the SLA model the context keeps a
+    {!Dtr_routing.Lambda} state of its high-priority routing, a change
+    that moves W_H is priced by {!Dtr_routing.Lambda.probe} (re-walking
+    only the destinations the probe moved), and committing it installs
+    the candidate's state. *)
 
 type ctx
 (** Live evaluation state of an incumbent solution. *)
@@ -92,7 +93,7 @@ val ctx_engine : ctx -> Dtr_routing.Eval_ctx.t
 (** The underlying two-class engine state (class 0 = H, class 1 = L),
     for read-only consumers such as {!Dtr_routing.Attribution}.
     Probing or committing it directly would desynchronize the
-    context's SLA record, commit log and key. *)
+    context's Λ state, commit log and key. *)
 
 val ctx_weights : ctx -> cls -> int array
 (** A class's current weight vector (fresh copy). *)
@@ -174,7 +175,7 @@ val eval_delta :
     current weight vector.  Always an {!Dtr_routing.Eval_ctx.probe} —
     never a from-scratch evaluation — and counted under
     {!delta_evaluations}, under either cost model (an SLA candidate
-    that moves W_H adds one Λ walk over the probe's rows).
+    that moves W_H adds one incremental Λ probe).
     [~count:false] suppresses the counter: the scan engine uses it to
     re-derive an already-counted winner against the main context, so
     reported evaluation counts stay independent of [--scan-jobs]. *)

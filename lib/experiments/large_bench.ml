@@ -120,18 +120,7 @@ let run_preset ?(probes = default_probes) ~seed p =
   }
 
 let run ?(probes = default_probes) ?(progress = fun _ -> ()) ~seed names =
-  let presets =
-    List.map
-      (fun name ->
-        match Large.find name with
-        | Some p -> p
-        | None ->
-            invalid_arg
-              (Printf.sprintf "unknown large preset: %s (expected one of: %s)"
-                 name
-                 (String.concat ", " (Large.names ()))))
-      names
-  in
+  let presets = Large.resolve names in
   let presets =
     List.stable_sort
       (fun a b -> compare (Large.node_count a) (Large.node_count b))

@@ -183,10 +183,7 @@ let compute ?(jobs = 1) ?sla ctx_a ctx_b =
     match sla with
     | None -> None
     | Some (params, th) ->
-        let lam ctx =
-          (Evaluate.evaluate_sla params (Eval_ctx.to_evaluate ctx) ~th)
-            .Evaluate.lambda
-        in
+        let lam ctx = Lambda.lambda (Lambda.of_ctx params ~th ctx) in
         Some (lam ctx_a, lam ctx_b)
   in
   {

@@ -505,9 +505,11 @@ let probe_dags t p k =
   let gi = t.class_group.(k) in
   if gi = p.group then p.p_dags else t.group_dags.(gi)
 
-let probe_phi_row t p k =
-  check_probe t "probe_phi_row" p k;
-  phi_row_of ~committed:t.phi_per_arc.(k) p.p_rows k
+let probe_phi_patch t p k =
+  check_probe t "probe_phi_patch" p k;
+  match class_delta p.p_rows k with
+  | Some c -> (p.p_rows.touched, c.c_phis)
+  | None -> ([||], [||])
 
 let group_active t gi =
   match t.active with None -> None | Some act -> Some act.(gi)

@@ -17,8 +17,8 @@
     values it moved plus its Φ vector, never a full row.  Full
     contribution, flow, load, capacity and Φ rows are materialized —
     as copies of the committed rows with the probe's values written
-    over them — only by {!commit}, and on demand by {!probe_phi_row}
-    and {!failure_phi_row} (the SLA model's delay walk).
+    over them — only by {!commit}, and on demand by
+    {!failure_phi_row}.
 
     Probes are pure: many can be taken from the same state, compared,
     and all but the winner dropped — this is the apply/undo protocol of
@@ -33,10 +33,10 @@
 
     It is the only engine [Dtr_core.Problem] scores search candidates
     with, under every cost model: objectives beyond Φ are priced from a
-    probe's rows — the SLA objective Λ from {!probe_dags} and
-    {!probe_phi_row} of class 0 (and, for link failures, from
-    {!failure_dags} / {!failure_phi_row}) through
-    {!Evaluate.sla_of_rows}. *)
+    probe's rows — the SLA objective Λ by {!Lambda.probe} from
+    {!probe_dags} and {!probe_phi_patch} of class 0, and for link
+    failures by {!Lambda.create} from {!failure_dags} /
+    {!failure_phi_row}. *)
 
 type t
 
@@ -116,15 +116,18 @@ val probe_touched : probe -> int list
 val probe_dags : t -> probe -> int -> Dtr_graph.Spf.dag array
 (** The candidate's per-destination DAGs of a class (shared with the
     context for untouched destinations and classes; treat as
-    immutable).  With {!probe_phi_row} this is what an objective
-    beyond Φ — the SLA delay walk — is priced from.
+    immutable).  With {!probe_phi_patch} this is what an objective
+    beyond Φ — the SLA objective Λ — is priced from.
     @raise Invalid_argument on a class out of range or a stale
     probe. *)
 
-val probe_phi_row : t -> probe -> int -> float array
-(** The candidate's per-arc Fortz costs of a class, materialized on
-    each call (the committed row itself when the probe did not move
-    it; shared, treat as immutable).
+val probe_phi_patch : t -> probe -> int -> int array * float array
+(** [(arcs, costs)]: the candidate's per-arc Fortz costs of a class as
+    a patch over the committed row — [costs.(i)] is the cost at
+    [arcs.(i)], every other arc keeps its committed cost; both empty
+    when the probe did not move the class's row.  No row is
+    materialized (shared, treat as immutable); this is what the
+    incremental Λ walk ({!Lambda.probe}) reads.
     @raise Invalid_argument on a class out of range or a stale
     probe. *)
 

@@ -80,11 +80,12 @@ val sla_of_rows :
   sla
 (** SLA view over high-priority pairs (entries of [th] with positive
     demand), priced from the high-priority DAGs and per-arc Fortz
-    costs — the one place Λ is folded (full evaluations, incremental
-    probes and failure probes all call it).  A disconnected pair does
-    not raise: it contributes an infinite penalty (so any reconnecting
-    routing compares strictly better) and is counted in
-    [unreachable]. *)
+    costs.  A disconnected pair does not raise: it contributes an
+    infinite penalty (so any reconnecting routing compares strictly
+    better) and is counted in [unreachable].  The independent
+    from-scratch reference and a test oracle only: production code
+    prices Λ through {!Lambda}, which must match it bitwise. *)
 
 val evaluate_sla : Dtr_cost.Sla.params -> t -> th:Dtr_traffic.Matrix.t -> sla
-(** {!sla_of_rows} on [t]'s high-priority DAGs and Fortz row. *)
+(** {!sla_of_rows} on [t]'s high-priority DAGs and Fortz row (test
+    oracle, as {!evaluate}). *)

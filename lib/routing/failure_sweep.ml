@@ -44,12 +44,12 @@ let price ~model ~th ctx f =
       | Objective.Sla params ->
           (* Failed arcs keep a (cheap, unread) delay entry that no
              surviving DAG walks. *)
-          let sla =
-            Evaluate.sla_of_rows params (Eval_ctx.graph ctx) ~th
+          let lam =
+            Lambda.create params (Eval_ctx.graph ctx) ~th
               ~dags_h:(Eval_ctx.failure_dags ctx f 0)
               ~phi_h_per_arc:(Eval_ctx.failure_phi_row f 0)
           in
-          Lexico.make ~primary:sla.Evaluate.lambda ~secondary:phi.(1)
+          Lexico.make ~primary:(Lambda.lambda lam) ~secondary:phi.(1)
     in
     { cost; unreachable_pairs = 0 }
   end

@@ -35,7 +35,8 @@ val of_eval :
   unit ->
   result
 (** Assemble the objective from an existing two-class evaluation.
-    Passing [?sla] (when the high-priority routing is unchanged from a
-    previous evaluation) skips recomputing delays and penalties. *)
+    Production callers pass [?sla] (a {!Lambda.to_sla} view of their
+    context's Λ state); without it the SLA view is computed by the
+    oracle {!Evaluate.evaluate_sla}, as {!evaluate} does. *)
 
 val model_name : model -> string

@@ -65,6 +65,18 @@ let names () = Array.to_list (Array.map (fun p -> p.name) presets)
 
 let find name = Array.find_opt (fun p -> p.name = name) presets
 
+let resolve wanted =
+  List.map
+    (fun name ->
+      match find name with
+      | Some p -> p
+      | None ->
+          invalid_arg
+            (Printf.sprintf "unknown large preset: %s (expected one of: %s)"
+               name
+               (String.concat ", " (names ()))))
+    wanted
+
 let node_count p =
   match p.spec with
   | Ts t -> Transit_stub.node_count t

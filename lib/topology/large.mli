@@ -24,6 +24,12 @@ val names : unit -> string list
 
 val find : string -> preset option
 
+val resolve : string list -> preset list
+(** Every name's preset, in order — resolved before anything runs, so a
+    typo fails at once instead of after the presets before it.
+    @raise Invalid_argument naming the first unknown name and listing
+    the valid ones. *)
+
 val node_count : preset -> int
 (** Exact node count the preset generates (e.g. 10025 for ["ts-10k"]:
     the transit–stub construction quantizes to

@@ -540,6 +540,14 @@ let test_problem_counters () =
     [ Objective.Load; Objective.Sla Dtr_cost.Sla.default ];
   Problem.reset_evaluations ()
 
+(* A probe's full Fortz row of a class: its patch over the committed
+   row. *)
+let probe_phi_row ctx p k =
+  let row = Array.copy (Eval_ctx.phi_per_arc ctx k) in
+  let arcs, costs = Eval_ctx.probe_phi_patch ctx p k in
+  Array.iteri (fun i a -> row.(a) <- costs.(i)) arcs;
+  row
+
 let test_eval_ctx_stale_probe () =
   let g = random_graph 3 in
   let rng = Prng.create 23 in
@@ -555,8 +563,8 @@ let test_eval_ctx_stale_probe () =
     (fun () -> Eval_ctx.commit ctx p2);
   (* Its rows would mix the probe's and the moved context's state. *)
   Alcotest.check_raises "stale probe rows rejected"
-    (Invalid_argument "Eval_ctx.probe_phi_row: stale probe")
-    (fun () -> ignore (Eval_ctx.probe_phi_row ctx p2 0))
+    (Invalid_argument "Eval_ctx.probe_phi_patch: stale probe")
+    (fun () -> ignore (Eval_ctx.probe_phi_patch ctx p2 0))
 
 (* An arc listed twice takes its last value: [(a, 5); (a, 7)] probes
    weight 7, and [(a, 5); (a, w_a)] probes no change — the reading
@@ -915,20 +923,20 @@ let stress_ops ~what g ~weights ~matrices ~dest_mode ~seed ~ops =
           (Invalid_argument "Eval_ctx.commit: stale probe (context has moved on)")
           (fun () -> Eval_ctx.commit ctx p2);
         Alcotest.check_raises (what ^ ": stale rows")
-          (Invalid_argument "Eval_ctx.probe_phi_row: stale probe")
-          (fun () -> ignore (Eval_ctx.probe_phi_row ctx p2 klass));
+          (Invalid_argument "Eval_ctx.probe_phi_patch: stale probe")
+          (fun () -> ignore (Eval_ctx.probe_phi_patch ctx p2 klass));
         check_ctx_state ~what ctx ~matrices ~dest_mode
     | 6 | 7 ->
         check_failure ~what ctx ~matrices ~link:(Prng.choose rng links)
     | _ ->
-        (* Rows materialized on demand match a fresh evaluation. *)
+        (* A probe's patched rows match a fresh evaluation. *)
         let a = Prng.int rng m in
         let changes = [ (a, random_value w a) ] in
         let p = Eval_ctx.probe ctx ~klass ~changes in
         let fresh = verify_probe ~klass changes p in
         for k = 0 to classes - 1 do
           check_bits ~what:(Printf.sprintf "%s: probe phi row %d" what k)
-            (Eval_ctx.phi_per_arc fresh k) (Eval_ctx.probe_phi_row ctx p k);
+            (Eval_ctx.phi_per_arc fresh k) (probe_phi_row ctx p k);
           let pd = Eval_ctx.probe_dags ctx p k and fd = Eval_ctx.dags fresh k in
           Array.iteri
             (fun t d ->
@@ -970,6 +978,170 @@ let test_long_commit_sequences () =
         ])
     graphs
 
+(* ------------------------------------------------------------------ *)
+(* Incremental Λ: long seeded SLA commit/abort sequences, every probe
+   against Evaluate.sla_of_rows on the probe's rows and every committed
+   ξ against Delay.expected_to_destination. *)
+
+module Lambda = Dtr_routing.Lambda
+module Delay = Dtr_routing.Delay
+
+(* A bound tight enough that some pairs violate it on every fixture, so
+   penalties and violation counts are exercised, not just zeros. *)
+let sla_params = { Dtr_cost.Sla.default with Dtr_cost.Sla.theta = 3. }
+
+let check_lambda ~what (oracle : Evaluate.sla) lam =
+  let sla = Lambda.to_sla lam in
+  check_bits ~what:(what ^ ": lambda") [| oracle.Evaluate.lambda |] [| Lambda.lambda lam |];
+  check_bits ~what:(what ^ ": sla lambda") [| oracle.Evaluate.lambda |] [| sla.Evaluate.lambda |];
+  check_bits ~what:(what ^ ": worst delay") [| oracle.Evaluate.worst_delay |]
+    [| sla.Evaluate.worst_delay |];
+  Alcotest.(check int) (what ^ ": violations") oracle.Evaluate.violations
+    sla.Evaluate.violations;
+  Alcotest.(check int) (what ^ ": unreachable") oracle.Evaluate.unreachable
+    sla.Evaluate.unreachable;
+  check_bits ~what:(what ^ ": arc delays") oracle.Evaluate.arc_delay (Lambda.arc_delay lam);
+  let delays (l : (int * int * float) list) = Array.of_list (List.map (fun (_, _, d) -> d) l) in
+  let pairs (l : (int * int * float) list) = List.map (fun (s, d, _) -> (s, d)) l in
+  check_bits ~what:(what ^ ": pair delays") (delays oracle.Evaluate.pair_delays)
+    (delays sla.Evaluate.pair_delays);
+  if pairs sla.Evaluate.pair_delays <> pairs oracle.Evaluate.pair_delays then
+    Alcotest.failf "%s: pair order differs from Matrix.pairs" what
+
+let lambda_ops ~what g ~weights ~th ~tl ~dest_mode ~seed ~ops =
+  let rng = Prng.create seed in
+  let ctx = Eval_ctx.create ~dest_mode g ~weights ~matrices:[| th; tl |] in
+  let lam = ref (Lambda.of_ctx sla_params ~th ctx) in
+  let sc = Lambda.scratch !lam in
+  let m = Graph.arc_count g and n = Graph.node_count g in
+  let links = Graph.undirected_link_pairs g in
+  let commits = ref 0 in
+  let oracle_of_probe p =
+    Evaluate.sla_of_rows sla_params g ~dags_h:(Eval_ctx.probe_dags ctx p 0)
+      ~phi_h_per_arc:(probe_phi_row ctx p 0) ~th
+  in
+  (* As Problem prices a candidate: only a probe moving W_H re-walks Λ. *)
+  let probe ~what ~klass changes =
+    let p = Eval_ctx.probe ctx ~klass ~changes in
+    if Eval_ctx.shares_group ctx 0 klass then begin
+      let oracle = oracle_of_probe p in
+      let l = Lambda.probe !lam sc ctx p in
+      check_bits ~what:(what ^ ": probe lambda") [| oracle.Evaluate.lambda |] [| l |];
+      check_lambda ~what:(what ^ ": probe") oracle (Lambda.commit !lam sc ctx p)
+    end;
+    p
+  in
+  let commit ~what ~klass p =
+    if Eval_ctx.shares_group ctx 0 klass then lam := Lambda.commit !lam sc ctx p;
+    Eval_ctx.commit ctx p;
+    incr commits;
+    let dags = Eval_ctx.dags ctx 0 in
+    check_lambda ~what:(what ^ ": committed")
+      (Evaluate.sla_of_rows sla_params g ~dags_h:dags
+         ~phi_h_per_arc:(Eval_ctx.phi_per_arc ctx 0) ~th)
+      !lam;
+    (* Every stored ξ is the full walk's at every node that reaches its
+       destination; destinations without high-priority demand store
+       none. *)
+    let sinks = Array.make n false in
+    Matrix.iter th (fun _ t _ -> sinks.(t) <- true);
+    for t = 0 to n - 1 do
+      let xi = Lambda.xi !lam t in
+      if sinks.(t) then begin
+        let full =
+          Delay.expected_to_destination g ~dag:dags.(t) ~arc_delay:(Lambda.arc_delay !lam)
+        in
+        for v = 0 to n - 1 do
+          if dags.(t).Spf.dist.(v) <> Dtr_graph.Dijkstra.unreachable then
+            check_bits ~what:(Printf.sprintf "%s: xi %d at %d" what t v) [| full.(v) |]
+              [| xi.(v) |]
+        done
+      end
+      else Alcotest.(check int) (Printf.sprintf "%s: no xi for %d" what t) 0 (Array.length xi)
+    done
+  in
+  let random_value w a =
+    let v = ref (Prng.int_incl rng Weights.min_weight Weights.max_weight) in
+    if !v = w.(a) then v := if w.(a) = Weights.max_weight then 1 else w.(a) + 1;
+    !v
+  in
+  for op = 1 to ops do
+    let what = Printf.sprintf "%s op %d" what op in
+    (* Mostly W_H: every W_L probe of a DTR context leaves Λ alone. *)
+    let klass = if Prng.int rng 4 = 0 then 1 else 0 in
+    let w = Eval_ctx.weights ctx klass in
+    match Prng.int rng 8 with
+    | 0 | 1 | 2 ->
+        let changes =
+          List.init (1 + Prng.int rng 4) (fun _ ->
+              let a = Prng.int rng m in
+              (a, random_value w a))
+        in
+        let p = probe ~what ~klass changes in
+        if Prng.bool rng then commit ~what ~klass p else Eval_ctx.abort ctx p
+    | 3 ->
+        (* Raise every tight out-arc of one node towards one destination:
+           its DAG changes while the loads may not. *)
+        let dags = Eval_ctx.dags ctx klass in
+        let t = Prng.int rng n in
+        if not (Spf.is_placeholder dags.(t)) then begin
+          let tight = Array.to_list dags.(t).Spf.next_arcs.(Prng.int rng n) in
+          if tight <> [] then
+            commit ~what ~klass
+              (probe ~what ~klass
+                 (List.map (fun a -> (a, min Weights.max_weight (w.(a) + 1 + Prng.int rng 10))) tight))
+        end
+    | 4 | 5 ->
+        (* A sibling probed after the winner: the commit re-derives the
+           winner instead of reusing the scratch. *)
+        let a = Prng.int rng m and b = Prng.int rng m in
+        let p1 = probe ~what ~klass [ (a, random_value w a) ] in
+        let p2 = probe ~what ~klass [ (b, random_value w b) ] in
+        Eval_ctx.abort ctx p2;
+        commit ~what ~klass p1
+    | 6 ->
+        (* The from-scratch mode on a failure probe's rows. *)
+        let a, b = Prng.choose rng links in
+        let f = Eval_ctx.fail_probe ctx ~arcs:(if a = b then [ a ] else [ a; b ]) in
+        if Eval_ctx.failure_unreachable f = 0 then begin
+          let dags_h = Eval_ctx.failure_dags ctx f 0
+          and phi_h_per_arc = Eval_ctx.failure_phi_row f 0 in
+          check_lambda ~what:(what ^ ": failure")
+            (Evaluate.sla_of_rows sla_params g ~dags_h ~phi_h_per_arc ~th)
+            (Lambda.create sla_params g ~th ~dags_h ~phi_h_per_arc)
+        end
+    | _ ->
+        (* A fresh context of the committed weights agrees with the
+           incrementally committed state. *)
+        check_lambda ~what:(what ^ ": fresh")
+          (Lambda.to_sla !lam) (Lambda.of_ctx sla_params ~th ctx)
+  done;
+  if !commits = 0 then Alcotest.failf "%s: no commit in %d ops" what ops
+
+let test_lambda_sequences () =
+  let graphs =
+    [ ("random 5", random_graph 5); ("random 6", random_graph 6);
+      ("random 7", random_graph 7); ("parallel ring", parallel_ring ());
+      ("bridge", bridge_graph ()) ]
+  in
+  List.iteri
+    (fun gi (name, g) ->
+      let rng = Prng.create (300 + gi) in
+      let th, tl = random_matrices rng g in
+      let wa = Weights.random rng g and wb = Weights.random rng g in
+      List.iter
+        (fun (setup, weights, dest_mode) ->
+          lambda_ops
+            ~what:(Printf.sprintf "%s %s" name setup)
+            g ~weights ~th ~tl ~dest_mode ~seed:(gi + 11) ~ops:200)
+        [
+          ("dtr/all", [| Array.copy wa; Array.copy wb |], Eval_ctx.All);
+          ("dtr/demand", [| Array.copy wa; Array.copy wb |], Eval_ctx.Demand);
+          ("str/all", (let w = Array.copy wa in [| w; w |]), Eval_ctx.All);
+          ("str/demand", (let w = Array.copy wb in [| w; w |]), Eval_ctx.Demand);
+        ])
+    graphs
+
 let () =
   Alcotest.run "delta"
     [
@@ -1004,5 +1176,9 @@ let () =
         [
           QCheck_alcotest.to_alcotest (test_problem_delta ());
           Alcotest.test_case "full/delta counters" `Quick test_problem_counters;
+        ] );
+      ( "lambda",
+        [
+          Alcotest.test_case "SLA commit sequences" `Quick test_lambda_sequences;
         ] );
     ]

@@ -128,12 +128,28 @@ let test_scan_jobs_invariance_load () =
     (str_snapshot ~model:Objective.Load ~scan_jobs:1)
     (str_snapshot ~model:Objective.Load ~scan_jobs:4)
 
+(* The value of a counter line ["name value"] in a snapshot. *)
+let snapshot_value snap name =
+  List.find_map
+    (fun line ->
+      match String.split_on_char ' ' line with
+      | [ n; v ] when n = name -> int_of_string_opt v
+      | _ -> None)
+    (String.split_on_char '\n' snap)
+
 let test_scan_jobs_invariance_sla () =
   let model = Objective.Sla Dtr_cost.Sla.default in
+  let snap = str_snapshot ~model ~scan_jobs:1 in
   Alcotest.(check string)
-    "sla model: scan-jobs 1 = 4"
-    (str_snapshot ~model ~scan_jobs:1)
-    (str_snapshot ~model ~scan_jobs:4)
+    "sla model: scan-jobs 1 = 4" snap
+    (str_snapshot ~model ~scan_jobs:4);
+  (* The Λ re-walk counters are in the compared section, and counting. *)
+  List.iter
+    (fun name ->
+      match snapshot_value snap name with
+      | Some v when v > 0 -> ()
+      | _ -> Alcotest.failf "%s missing or zero in the SLA snapshot" name)
+    [ "dtr_sla_rewalk_dests_total"; "dtr_sla_rewalk_nodes_total" ]
 
 let multistart_snapshot ~jobs =
   with_metrics @@ fun () ->

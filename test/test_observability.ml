@@ -706,6 +706,40 @@ let test_disabled_instrumentation_allocates_least () =
     (Printf.sprintf "disabled %.0f < metrics on %.0f words" disabled metered)
     true (disabled < metered)
 
+(* The exact half of the guard above, which cannot see off-path
+   allocation smaller than the cost of recording: with the registry
+   off, 10k calls of each recording entry point allocate no minor word
+   beyond an empty loop's.  Already-registered metrics, so the
+   registry's exposition is unchanged; constant floats and a closed
+   span body, which OCaml allocates statically. *)
+let test_disabled_metrics_allocate_nothing () =
+  Metrics.set_enabled false;
+  let c = Metrics.counter ~help:"" "dtr_eval_probes_total" in
+  let h = Metrics.histogram ~help:"" "dtr_scan_batch" in
+  let words loop =
+    loop 100;
+    let before = Gc.minor_words () in
+    loop 10_000;
+    Gc.minor_words () -. before
+  in
+  let empty k = for _ = 1 to k do ignore (Sys.opaque_identity c) done in
+  let calls =
+    [
+      ("add", fun k -> for _ = 1 to k do Metrics.add c 3 done);
+      ("incr_counter", fun k -> for _ = 1 to k do Metrics.incr_counter c done);
+      ("observe", fun k -> for _ = 1 to k do Metrics.observe h 2.5 done);
+      ("record", fun k -> for _ = 1 to k do Metrics.record "guard" 0.5 done);
+      ("span", fun k -> for _ = 1 to k do Metrics.span "guard" (fun () -> ()) done);
+    ]
+  in
+  let baseline = words empty in
+  List.iter
+    (fun (name, loop) ->
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "disabled %s: words beyond an empty loop" name)
+        0. (words loop -. baseline))
+    calls
+
 (* Attribution reads the contribution rows a context already holds:
    explaining every arc of both classes and building the hottest-links
    table runs no SPF, no delta update, no probe and no full
@@ -794,6 +828,8 @@ let () =
         [
           Alcotest.test_case "disabled probes allocate least" `Quick
             test_disabled_instrumentation_allocates_least;
+          Alcotest.test_case "disabled metrics allocate 0" `Quick
+            test_disabled_metrics_allocate_nothing;
           Alcotest.test_case "attribution reruns no evaluation" `Quick
             test_attribution_reruns_nothing;
         ] );

@@ -467,6 +467,17 @@ let test_large_presets () =
           end)
     (Large.names ())
 
+(* Names resolve in order, and an unknown one is named before any
+   preset is returned (the bench drivers resolve before running). *)
+let test_resolve_presets () =
+  Alcotest.(check (list string)) "in order" [ "pl-1k"; "ts-1k" ]
+    (List.map (fun p -> p.Large.name) (Large.resolve [ "pl-1k"; "ts-1k" ]));
+  match Large.resolve [ "ts-1k"; "foo" ] with
+  | _ -> Alcotest.fail "unknown preset accepted"
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool) "names foo" true
+        (String.length msg >= 26 && String.sub msg 0 26 = "unknown large preset: foo ")
+
 let test_gravity_pop () =
   let g = Large.generate (Prng.create 3) (Option.get (Large.find "ts-1k")) in
   let p = Option.get (Large.find "ts-1k") in
@@ -637,6 +648,7 @@ let () =
           Alcotest.test_case "BA sampler structure" `Quick
             test_generate_ba_structure;
           Alcotest.test_case "presets generate + pops" `Slow test_large_presets;
+          Alcotest.test_case "resolve names first" `Quick test_resolve_presets;
           Alcotest.test_case "PoP gravity matrix" `Quick test_gravity_pop;
         ] );
       ( "incremental-vs-reference",
