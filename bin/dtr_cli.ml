@@ -782,7 +782,7 @@ let inspect_cmd =
     (* One evaluation: the tables, the robustness sweep and the flow
        attribution all read this context. *)
     let pctx = Problem.ctx_of_weights problem ~wh ~wl in
-    let result = (Problem.ctx_solution problem pctx).Problem.result in
+    let result = Problem.ctx_result problem pctx in
     let ctx = Problem.ctx_engine pctx in
     let eval = result.Dtr_routing.Objective.eval in
     let sla = result.Dtr_routing.Objective.sla in
@@ -997,9 +997,8 @@ let report_cmd =
               let problem = Scenario.problem inst ~model in
               let wh, wl = load_weight_pair inst.Scenario.graph path in
               let result =
-                (Problem.ctx_solution problem
-                   (Problem.ctx_of_weights problem ~wh ~wl))
-                  .Problem.result
+                Problem.ctx_result problem
+                  (Problem.ctx_of_weights problem ~wh ~wl)
               in
               let eval = result.Dtr_routing.Objective.eval in
               [

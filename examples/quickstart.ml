@@ -28,10 +28,11 @@ let () =
     Problem.create ~graph:g ~th ~tl ~model:Dtr_routing.Objective.Load
   in
   let mid = Array.make (Graph.arc_count g) 15 in
-  let ref_sol = Problem.eval_str problem0 ~w:mid in
+  let ref_view =
+    Problem.ctx_result problem0 (Problem.ctx_of_weights problem0 ~wh:mid ~wl:mid)
+  in
   let u0 =
-    Dtr_routing.Evaluate.avg_utilization
-      ref_sol.Problem.result.Dtr_routing.Objective.eval
+    Dtr_routing.Evaluate.avg_utilization ref_view.Dtr_routing.Objective.eval
   in
   let factor = 0.6 /. u0 in
   let th = Matrix.scale th factor and tl = Matrix.scale tl factor in

@@ -32,8 +32,9 @@ let () =
     Dtr_experiments.Compare.run_point ~cfg:Dtr_core.Search_config.quick inst
       ~model ~target_util:0.6
   in
+  let view = Dtr_experiments.Compare.view point in
   let describe name (sol : Problem.solution) =
-    match sol.Problem.result.Objective.sla with
+    match (view sol).Objective.sla with
     | None -> ()
     | Some s ->
         Printf.printf
@@ -44,7 +45,7 @@ let () =
   describe "STR" point.Dtr_experiments.Compare.str.Dtr_core.Multistart.best;
   describe "DTR" point.Dtr_experiments.Compare.dtr.Dtr_core.Multistart.best;
   let dtr_sol = point.Dtr_experiments.Compare.dtr.Dtr_core.Multistart.best in
-  (match dtr_sol.Problem.result.Objective.sla with
+  (match (view dtr_sol).Objective.sla with
   | None -> ()
   | Some s ->
       print_endline "\nDTR premium-pair delays (worst five):";

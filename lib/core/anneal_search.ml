@@ -75,7 +75,8 @@ let anneal_phase ?(trace = Trace.disabled) ?(detail = 0) ?(counts0 = (0, 0, 0))
         delta <= 0. || Prng.float rng 1.0 < exp (-.delta /. !t)
       in
       if accept then begin
-        let cand = Problem.commit_delta problem ctx d in
+        ignore (Problem.commit_delta ctx d);
+        let cand = Problem.ctx_solution problem ctx in
         current := cand;
         e_cur := e_cand;
         incr accepted;

@@ -336,7 +336,8 @@ let run ?w0 ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem =
         let changes = Problem.weight_changes !current.Problem.wh wh in
         let d = Problem.eval_delta problem !ctx ~cls:`H ~changes in
         let prev = !current in
-        current := Problem.commit_delta problem !ctx d;
+        ignore (Problem.commit_delta !ctx d);
+        current := Problem.ctx_solution problem !ctx;
         stall := 0;
         tell Trace.Diversify ~iteration ~detail:0 ~before ~prev
       end;
@@ -370,7 +371,8 @@ let run ?w0 ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem =
         let changes = Problem.weight_changes !current.Problem.wl wl in
         let d = Problem.eval_delta problem !ctx ~cls:`L ~changes in
         let prev = !current in
-        current := Problem.commit_delta problem !ctx d;
+        ignore (Problem.commit_delta !ctx d);
+        current := Problem.ctx_solution problem !ctx;
         stall := 0;
         tell Trace.Diversify ~iteration ~detail:1 ~before ~prev
       end;

@@ -1,7 +1,6 @@
 module Graph = Dtr_graph.Graph
 module Matrix = Dtr_traffic.Matrix
 module Objective = Dtr_routing.Objective
-module Evaluate = Dtr_routing.Evaluate
 module Eval_ctx = Dtr_routing.Eval_ctx
 module Lambda = Dtr_routing.Lambda
 module Lexico = Dtr_cost.Lexico
@@ -25,10 +24,11 @@ let create ~graph ~th ~tl ~model =
 type solution = {
   wh : int array;
   wl : int array;
-  result : Objective.result;
+  objective : Lexico.t;
+  dags : Dtr_graph.Spf.dag array array;
 }
 
-let objective s = s.result.Objective.objective
+let objective s = s.objective
 
 (* Evaluation accounting.  Two levels:
 
@@ -151,12 +151,10 @@ type ctx = {
 }
 
 let ctx_of_solution t s =
-  let eval = s.result.Objective.eval in
   let weights = if is_str s then [| s.wh; s.wh |] else [| s.wh; s.wl |] in
-  let dags = [| eval.Evaluate.dags_h; eval.Evaluate.dags_l |] in
   {
     ec =
-      Eval_ctx.create ~dags ~dest_mode:t.dest_mode t.graph ~weights
+      Eval_ctx.create ~dags:s.dags ~dest_mode:t.dest_mode t.graph ~weights
         ~matrices:[| t.th; t.tl |];
     c_str = is_str s;
     c_lam = None;
@@ -271,19 +269,34 @@ let ctx_scratch lam ctx =
       ctx.c_scratch <- Some sc;
       sc
 
+(* The objective read off the context's rows: the Φ row, with Λ of
+   its high-priority routing as the primary under the SLA model. *)
+let ctx_objective t ctx =
+  let phi = Eval_ctx.phi ctx.ec in
+  let primary =
+    match t.model with
+    | Objective.Load -> phi.(0)
+    | Objective.Sla params -> Lambda.lambda (ctx_lambda params t ctx)
+  in
+  Lexico.make ~primary ~secondary:phi.(1)
+
 let ctx_solution t ctx =
-  let ev = Eval_ctx.to_evaluate ctx.ec in
   let wh = Eval_ctx.weights ctx.ec 0 in
   let wl = if ctx.c_str then wh else Eval_ctx.weights ctx.ec 1 in
-  let result =
+  {
+    wh;
+    wl;
+    objective = ctx_objective t ctx;
+    dags = [| Eval_ctx.dags ctx.ec 0; Eval_ctx.dags ctx.ec 1 |];
+  }
+
+let ctx_result t ctx =
+  let sla =
     match t.model with
-    | Objective.Load -> Objective.of_eval t.model ev ~th:t.th ()
-    | Objective.Sla params ->
-        Objective.of_eval t.model ev ~th:t.th
-          ~sla:(Lambda.to_sla (ctx_lambda params t ctx))
-          ()
+    | Objective.Load -> None
+    | Objective.Sla params -> Some (Lambda.to_sla (ctx_lambda params t ctx))
   in
-  { wh; wl; result }
+  Objective.of_eval t.model (Eval_ctx.to_evaluate ctx.ec) ~th:t.th ?sla ()
 
 (* [eval_dtr] copies a shared array, so [~wh:w ~wl:w] stays DTR. *)
 let eval_dtr t ~wh ~wl =
@@ -405,7 +418,7 @@ let trim_log log =
   in
   take log_bound log
 
-let commit_delta t ctx d =
+let commit_delta ctx d =
   shift_key ctx ~cls:d.d_cls ~changes:d.d_changes;
   let touched = Array.of_list (Eval_ctx.probe_touched d.d_probe) in
   (match ctx.c_lam with
@@ -416,7 +429,7 @@ let commit_delta t ctx d =
   Eval_ctx.commit ctx.ec d.d_probe;
   ctx.c_version <- ctx.c_version + 1;
   ctx.c_log <- trim_log ((ctx.c_version, touched) :: ctx.c_log);
-  ctx_solution t ctx
+  d.d_objective
 
 let abort_delta ctx d = Eval_ctx.abort ctx.ec d.d_probe
 

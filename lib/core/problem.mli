@@ -27,10 +27,17 @@ val create :
 type solution = {
   wh : int array;
   wl : int array;
-  result : Dtr_routing.Objective.result;
+  objective : Dtr_cost.Lexico.t;
+      (** [⟨Φ_H, Φ_L⟩] or [⟨Λ, Φ_L⟩] depending on the model *)
+  dags : Dtr_graph.Spf.dag array array;
+      (** per-destination DAGs of [wh] (index 0) and [wl] (index 1): the
+          evaluating context's {!Dtr_routing.Eval_ctx.dags} snapshot,
+          which commits replace rather than mutate *)
 }
-(** An evaluated weight setting.  For STR solutions [wh == wl]
-    (physical equality is preserved so re-evaluations stay cheap). *)
+(** An evaluated weight setting: weights, objective and routing.  For
+    STR solutions [wh == wl] (physical equality is preserved so
+    re-evaluations stay cheap).  The per-arc view of a solution is
+    {!ctx_result} of its {!ctx_of_solution}. *)
 
 val objective : solution -> Dtr_cost.Lexico.t
 
@@ -83,8 +90,8 @@ val ctx_of_weights : t -> wh:int array -> wl:int array -> ctx
     @raise Invalid_argument on invalid weights. *)
 
 val ctx_of_solution : t -> solution -> ctx
-(** Build a context from an evaluated solution, reusing its DAGs (no
-    SPF sweep, not counted as an evaluation). *)
+(** Build a context from an evaluated solution, reusing its [dags] (no
+    SPF sweep, not counted as an evaluation): one load projection. *)
 
 val ctx_is_str : ctx -> bool
 (** Whether the context's classes share one weight vector. *)
@@ -157,9 +164,17 @@ val ctx_arc_cmp_l : t -> ctx -> int -> int -> int
 (** Same for the low-priority ranking ([Φ_L,l] only). *)
 
 val ctx_solution : t -> ctx -> solution
-(** Materialize the context's current state as a solution.  O(arcs):
-    the solution snapshots the context's arrays, which later commits
-    replace rather than mutate. *)
+(** The context's current state as a solution.  O(arcs): the weights
+    are copied, the objective is read off the context (its Φ row, and
+    Λ under the SLA model) and [dags] snapshots the context's DAG
+    arrays, which later commits replace rather than mutate. *)
+
+val ctx_result : t -> ctx -> Dtr_routing.Objective.result
+(** The per-arc view of the context's current state: the two-class
+    {!Dtr_routing.Evaluate.t} (loads, residual, Φ rows) and, under the
+    SLA model, the {!Dtr_routing.Evaluate.sla} record of its Λ state
+    (built in O(pairs)).  Its objective is {!ctx_solution}'s.  For a
+    solution's view, call it on {!ctx_of_solution}. *)
 
 val weight_changes : int array -> int array -> (int * int) list
 (** [weight_changes base w'] lists the [(arc, new_value)] pairs where
@@ -187,9 +202,10 @@ val delta_phi_h : delta -> float
 
 val delta_phi_l : delta -> float
 
-val commit_delta : t -> ctx -> delta -> solution
-(** Install a candidate and return it as a full solution.  Only deltas
-    evaluated against the context's current state may be committed.
+val commit_delta : ctx -> delta -> Dtr_cost.Lexico.t
+(** Install a candidate and return its objective ({!delta_objective}).
+    Only deltas evaluated against the context's current state may be
+    committed; {!ctx_solution} materializes the new state.
     @raise Invalid_argument on a stale delta. *)
 
 val abort_delta : ctx -> delta -> unit

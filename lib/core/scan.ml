@@ -196,4 +196,5 @@ let commit t ctx ~cls ~changes =
      functions of the context's value state, so this reproduces the
      winning candidate bitwise. *)
   let d = Problem.eval_delta ~count:false t.problem ctx ~cls ~changes in
-  Problem.commit_delta t.problem ctx d
+  ignore (Problem.commit_delta ctx d);
+  Problem.ctx_solution t.problem ctx

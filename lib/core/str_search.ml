@@ -4,7 +4,6 @@ module Vmemo = Dtr_util.Vmemo
 module Lexico = Dtr_cost.Lexico
 module Objective = Dtr_routing.Objective
 module Weights = Dtr_routing.Weights
-module Evaluate = Dtr_routing.Evaluate
 
 let lex_lt a b = Lexico.lt ~rel_tol:Search_config.rel_tol a b
 
@@ -123,12 +122,13 @@ let run ?w0 ?iters ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem
   in
   let track_archive = problem.Problem.model = Objective.Load in
   let archive = ref archive_empty in
+  (* Under the load model the objective is ⟨Φ_H, Φ_L⟩. *)
   let observe sol =
     if track_archive then begin
-      let eval = sol.Problem.result.Objective.eval in
+      let o = Problem.objective sol in
       archive :=
-        archive_insert !archive ~phi_h:eval.Evaluate.phi_h
-          ~phi_l:eval.Evaluate.phi_l
+        archive_insert !archive ~phi_h:o.Lexico.primary
+          ~phi_l:o.Lexico.secondary
           ~w:(fun () -> sol.Problem.wh)
     end
   in
@@ -292,7 +292,8 @@ let run ?w0 ?iters ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem
       let changes = Problem.weight_changes !current.Problem.wh w in
       let d = Problem.eval_delta problem ctx ~cls:`H ~changes in
       let prev = !current in
-      current := Problem.commit_delta problem ctx d;
+      ignore (Problem.commit_delta ctx d);
+      current := Problem.ctx_solution problem ctx;
       observe !current;
       (* A perturbation can land on a point better than the incumbent
          best; it used to be silently dropped (lost if the next scan

@@ -24,6 +24,12 @@ let ratio ~num ~den =
   if den <= eps then if num <= eps then 1. else Float.infinity
   else num /. den
 
+(* One load projection from the solution's DAGs, no SPF. *)
+let solution_view problem sol =
+  Problem.ctx_result problem (Problem.ctx_of_solution problem sol)
+
+let view point = solution_view point.problem
+
 let run_point ?(cfg = Dtr_core.Search_config.default) ?(seed = 0)
     ?(trace = Trace.disabled) ?pool ?(restarts = 1) ?iters ?stop ?on_progress
     ?w0 inst ~model ~target_util =
@@ -65,7 +71,8 @@ let run_point ?(cfg = Dtr_core.Search_config.default) ?(seed = 0)
   {
     target_util;
     measured_util =
-      Evaluate.avg_utilization str.Multistart.best.Problem.result.Objective.eval;
+      Evaluate.avg_utilization
+        (solution_view problem str.Multistart.best).Objective.eval;
     rh =
       ratio ~num:str.Multistart.objective.Lexico.primary
         ~den:dtr.Multistart.objective.Lexico.primary;

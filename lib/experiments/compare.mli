@@ -13,6 +13,12 @@ type point = {
   dtr : Dtr_core.Multistart.report;
 }
 
+val view : point -> Dtr_core.Problem.solution -> Dtr_routing.Objective.result
+(** The per-arc view of one of the point's solutions:
+    {!Dtr_core.Problem.ctx_result} of its
+    {!Dtr_core.Problem.ctx_of_solution} on the point's problem (one
+    load projection from the solution's DAGs, no SPF). *)
+
 val ratio : num:float -> den:float -> float
 (** Zero-guarded ratio: both ≈ 0 gives 1 (equal performance); a zero
     denominator with a positive numerator gives [infinity]. *)

@@ -25,14 +25,12 @@ let run ?cfg ?(seed = 23) ?(target_util = 0.6) panel =
   in
   let inst = Scenario.make spec in
   let point = Compare.run_point ?cfg inst ~model ~target_util in
-  let str_util =
-    Evaluate.utilization
-      point.Compare.str.Dtr_core.Multistart.best.Problem.result.Objective.eval
+  let utilization (report : Dtr_core.Multistart.report) =
+    let view = Compare.view point report.Dtr_core.Multistart.best in
+    Evaluate.utilization view.Objective.eval
   in
-  let dtr_util =
-    Evaluate.utilization
-      point.Compare.dtr.Dtr_core.Multistart.best.Problem.result.Objective.eval
-  in
+  let str_util = utilization point.Compare.str in
+  let dtr_util = utilization point.Compare.dtr in
   let hi =
     Float.max 1.5
       (Float.max

@@ -19,9 +19,11 @@ let sorted_h_utilization ?cfg ~seed ~target_util density =
   let problem = Scenario.problem inst ~model:Objective.Load in
   let cfg = match cfg with Some c -> c | None -> Dtr_core.Search_config.default in
   let report = Str_search.run (Prng.create (seed + 1)) cfg problem in
-  let h_util =
-    Evaluate.h_utilization report.Str_search.best.Problem.result.Objective.eval
+  let view =
+    Problem.ctx_result problem
+      (Problem.ctx_of_solution problem report.Str_search.best)
   in
+  let h_util = Evaluate.h_utilization view.Objective.eval in
   Array.sort (fun a b -> Float.compare b a) h_util;
   h_util
 

@@ -19,14 +19,12 @@ let run ?cfg ?(seed = 43) ?(target_util = 0.5) ?(buckets = 5) () =
   let point = Compare.run_point ?cfg inst ~model ~target_util in
   let g = inst.Scenario.graph in
   let delays = Graph.delays g in
-  let str_util =
-    Evaluate.utilization
-      point.Compare.str.Dtr_core.Multistart.best.Problem.result.Objective.eval
+  let utilization (report : Dtr_core.Multistart.report) =
+    let view = Compare.view point report.Dtr_core.Multistart.best in
+    Evaluate.utilization view.Objective.eval
   in
-  let dtr_util =
-    Evaluate.utilization
-      point.Compare.dtr.Dtr_core.Multistart.best.Problem.result.Objective.eval
-  in
+  let str_util = utilization point.Compare.str in
+  let dtr_util = utilization point.Compare.dtr in
   let dmin = Array.fold_left Float.min Float.infinity delays in
   let dmax = Array.fold_left Float.max Float.neg_infinity delays in
   let width = (dmax -. dmin) /. float_of_int buckets in

@@ -36,24 +36,26 @@ let run ?cfg ?(seed = 53) ?(target_util = 0.5)
       let point = Compare.run_point ?cfg inst ~model ~target_util in
       let str_sol = point.Compare.str.Dtr_core.Multistart.best in
       let dtr_sol = point.Compare.dtr.Dtr_core.Multistart.best in
-      let violations (sol : Problem.solution) =
-        match sol.Problem.result.Objective.sla with
+      let str_view = Compare.view point str_sol in
+      let dtr_view = Compare.view point dtr_sol in
+      let violations (view : Objective.result) =
+        match view.Objective.sla with
         | Some s -> s.Evaluate.violations
         | None -> 0
       in
       Table.add_row table
         [
           Printf.sprintf "%.1f" theta;
-          string_of_int (violations str_sol);
-          string_of_int (violations dtr_sol);
+          string_of_int (violations str_view);
+          string_of_int (violations dtr_view);
           Printf.sprintf "%.3g"
             (Problem.objective str_sol).Lexico.secondary;
           Printf.sprintf "%.3g"
             (Problem.objective dtr_sol).Lexico.secondary;
           Printf.sprintf "%.3f"
-            (Evaluate.max_utilization str_sol.Problem.result.Objective.eval);
+            (Evaluate.max_utilization str_view.Objective.eval);
           Printf.sprintf "%.3f"
-            (Evaluate.max_utilization dtr_sol.Problem.result.Objective.eval);
+            (Evaluate.max_utilization dtr_view.Objective.eval);
         ])
     thetas;
   table

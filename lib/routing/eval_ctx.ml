@@ -608,7 +608,6 @@ let m_fail_probes =
 
 type failure = {
   f_unreachable : int;  (* severed positive-demand (class, src, dst) pairs *)
-  f_dirty : int;  (* dirty destinations summed over groups *)
   f_group_dags : Spf.dag array array;  (* group -> post-failure DAGs *)
   f_base_phi : float array array;  (* class -> committed Fortz row at probe time *)
   f_rows : rows option;  (* None when severed *)
@@ -616,8 +615,6 @@ type failure = {
 }
 
 let failure_unreachable f = f.f_unreachable
-
-let failure_dirty f = f.f_dirty
 
 let failure_phi f = Array.copy f.f_phi
 
@@ -666,9 +663,6 @@ let fail_probe t ~arcs =
     group_dags.(gi) <- dags;
     group_dirty.(gi) <- dirty
   done;
-  let f_dirty =
-    Array.fold_left (fun acc l -> acc + List.length l) 0 group_dirty
-  in
   (* Severed positive-demand pairs.  Only dirty destinations can change
      reachability, and demand rows were fixed against the no-failure
      topology, so a positive entry at a now-unreachable source is
@@ -691,7 +685,6 @@ let fail_probe t ~arcs =
   let base =
     {
       f_unreachable = !unreachable;
-      f_dirty;
       f_group_dags = group_dags;
       f_base_phi = Array.copy t.phi_per_arc;
       f_rows = None;

@@ -166,10 +166,6 @@ val failure_unreachable : failure -> int
 (** Severed positive-demand (class, source, destination) pairs; [0]
     exactly when the failure leaves every demand routable. *)
 
-val failure_dirty : failure -> int
-(** Destinations re-screened as dirty (patched or rebuilt), summed
-    over weight-vector groups. *)
-
 val failure_phi : failure -> float array
 (** Post-failure per-class objective vector [Φ_k] (fresh copy); every
     entry is [Float.infinity] for a disconnecting failure. *)

@@ -16,80 +16,77 @@ let to_string sets =
   done;
   Buffer.contents buf
 
+(* One pass over the lines, the header first: every row is checked
+   against it at its own line (arc index, value count, duplicates,
+   weight range), so nothing is allocated from an unchecked header —
+   the [t x m] result is built only once [m] rows of [t] values each
+   have been read. *)
 let of_string ?arcs s =
-  let lines = String.split_on_char '\n' s in
-  let header = ref None in
   let rows = Hashtbl.create 64 in
-  let error = ref None in
-  List.iteri
-    (fun lineno line ->
-      if !error = None then begin
+  let rec parse lineno header = function
+    | [] -> (
+        match header with
+        | None -> Error "missing header"
+        | Some (m, t) ->
+            if Hashtbl.length rows <> m then
+              Error
+                (Printf.sprintf "expected %d arcs, found %d" m
+                   (Hashtbl.length rows))
+            else begin
+              let sets = Array.make_matrix t m 0 in
+              Hashtbl.iter
+                (fun arc values ->
+                  List.iteri (fun topo v -> sets.(topo).(arc) <- v) values)
+                rows;
+              Ok sets
+            end)
+    | line :: rest -> (
+        let fail fmt =
+          Printf.ksprintf
+            (fun e -> Error (Printf.sprintf "line %d: %s" lineno e))
+            fmt
+        in
+        let next header = parse (lineno + 1) header rest in
         let line = String.trim line in
-        if line <> "" && line.[0] <> '#' then begin
-          let parts = List.filter (( <> ) "") (String.split_on_char ' ' line) in
-          match parts with
-          | [ "arcs"; m; "topologies"; t ] -> (
-              match (int_of_string_opt m, int_of_string_opt t) with
-              | Some m, Some t when m > 0 && t > 0 -> (
-                  match arcs with
-                  | Some a when a <> m ->
-                      error :=
-                        Some
-                          (Printf.sprintf "line %d: %d arcs, topology has %d arcs"
-                             (lineno + 1) m a)
-                  | _ -> header := Some (m, t))
-              | _ ->
-                  error := Some (Printf.sprintf "line %d: bad header" (lineno + 1)))
-          | "w" :: arc :: values -> (
-              match (int_of_string_opt arc, List.map int_of_string_opt values) with
-              | Some arc, values when List.for_all Option.is_some values -> (
-                  let values = List.map Option.get values in
-                  if Hashtbl.mem rows arc then
-                    error :=
-                      Some (Printf.sprintf "line %d: duplicate arc %d" (lineno + 1) arc)
-                  else
-                    (* Range-check here, where the offending line is
-                       known — a vector accepted by the parser must be
-                       directly usable as a search starting point. *)
-                    match
-                      List.find_opt
-                        (fun v -> v < Weights.min_weight || v > Weights.max_weight)
-                        values
-                    with
-                    | Some v ->
-                        error :=
-                          Some
-                            (Printf.sprintf
-                               "line %d: weight %d out of range [%d, %d]"
-                               (lineno + 1) v Weights.min_weight
-                               Weights.max_weight)
-                    | None -> Hashtbl.add rows arc values)
-              | _ -> error := Some (Printf.sprintf "line %d: bad weights" (lineno + 1)))
-          | _ ->
-              error := Some (Printf.sprintf "line %d: unknown directive" (lineno + 1))
-        end
-      end)
-    lines;
-  match (!error, !header) with
-  | Some e, _ -> Error e
-  | None, None -> Error "missing header"
-  | None, Some (m, t) ->
-      if Hashtbl.length rows <> m then
-        Error
-          (Printf.sprintf "expected %d arcs, found %d" m (Hashtbl.length rows))
-      else begin
-        let sets = Array.make_matrix t m 0 in
-        let bad = ref None in
-        Hashtbl.iter
-          (fun arc values ->
-            if arc < 0 || arc >= m then bad := Some (Printf.sprintf "arc %d out of range" arc)
-            else if List.length values <> t then
-              bad := Some (Printf.sprintf "arc %d: expected %d weights" arc t)
-            else
-              List.iteri (fun topo v -> sets.(topo).(arc) <- v) values)
-          rows;
-        match !bad with Some e -> Error e | None -> Ok sets
-      end
+        let words = List.filter (( <> ) "") (String.split_on_char ' ' line) in
+        match (words, header) with
+        | [], _ -> next header
+        | _ when line.[0] = '#' -> next header
+        | [ "arcs"; m; "topologies"; t ], None -> (
+            match (int_of_string_opt m, int_of_string_opt t) with
+            | Some m, Some t when m > 0 && t > 0 -> (
+                match arcs with
+                | Some a when a <> m -> fail "%d arcs, topology has %d arcs" m a
+                | _ -> next (Some (m, t)))
+            | _ -> fail "bad header")
+        | [ "arcs"; _; "topologies"; _ ], Some _ -> fail "duplicate header"
+        | "w" :: _, None -> Error "missing header"
+        | "w" :: arc :: values, Some (m, t) -> (
+            match (int_of_string_opt arc, List.map int_of_string_opt values) with
+            | Some arc, values when List.for_all Option.is_some values -> (
+                let values = List.map Option.get values in
+                if arc < 0 || arc >= m then fail "arc %d out of range" arc
+                else if List.length values <> t then
+                  fail "arc %d: expected %d weights" arc t
+                else if Hashtbl.mem rows arc then fail "duplicate arc %d" arc
+                else
+                  (* A vector accepted by the parser must be directly
+                     usable as a search starting point. *)
+                  match
+                    List.find_opt
+                      (fun v -> v < Weights.min_weight || v > Weights.max_weight)
+                      values
+                  with
+                  | Some v ->
+                      fail "weight %d out of range [%d, %d]" v Weights.min_weight
+                        Weights.max_weight
+                  | None ->
+                      Hashtbl.add rows arc values;
+                      next header)
+            | _ -> fail "bad weights")
+        | _ -> fail "unknown directive")
+  in
+  parse 1 None (String.split_on_char '\n' s)
 
 let save sets path =
   let oc = open_out path in

@@ -7,7 +7,8 @@
     w <arc-id> <w_topo0> [<w_topo1> ...]
     ...
     v}
-    Every arc id in [0, m) must appear exactly once. *)
+    The header comes first, once; every arc id in [0, m) must then
+    appear exactly once. *)
 
 val to_string : int array array -> string
 (** [to_string sets] serializes one or more weight vectors (all the
@@ -20,9 +21,12 @@ val of_string : ?arcs:int -> string -> (int array array, string) result
     [[0, m)] exactly once, every row carrying [t] values, and — given
     [arcs], the arc count of the topology the weights are meant for —
     [m = arcs] (a file saved on another topology is rejected at its
-    header: ["line 1: 70 arcs, topology has 500 arcs"]).  Errors are
-    prefixed ["line N:"] when attributable to one line, so a rejected
-    file points at the offending row. *)
+    header: ["line 1: 70 arcs, topology has 500 arcs"]).  Each row is
+    checked against the header at its own line, and the result is
+    allocated only after [m] valid rows have been read, so a bogus
+    header allocates nothing.  Errors are prefixed ["line N:"] when
+    attributable to one line, so a rejected file points at the
+    offending row; a row before the header is ["missing header"]. *)
 
 val save : int array array -> string -> unit
 (** @raise Sys_error on I/O failure, [Invalid_argument] as

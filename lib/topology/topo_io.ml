@@ -33,10 +33,20 @@ let split_fields line =
   done;
   !fields
 
+(* Endpoint errors are reported at the arc's own line: checked there
+   once the node count is known, or, for arcs listed before the
+   [nodes] directive, as soon as it appears. *)
+let endpoint_error n (line, (a : Graph.arc)) =
+  match List.find_opt (fun v -> v < 0 || v >= n) [ a.src; a.dst ] with
+  | Some v -> Some (Printf.sprintf "line %d: node %d out of range [0, %d)" line v n)
+  | None when a.src = a.dst ->
+      Some (Printf.sprintf "line %d: self-loop at node %d" line a.src)
+  | None -> None
+
 let of_string s =
   let lines = String.split_on_char '\n' s in
   let nodes = ref None in
-  let arcs = ref [] in
+  let arcs = ref [] (* (line, arc), newest first *) in
   let error = ref None in
   List.iteri
     (fun lineno line ->
@@ -49,8 +59,11 @@ let of_string s =
         if line <> "" && not (String.length line > 0 && line.[0] = '#') then begin
           match split_fields line with
           | [ "nodes"; n ] -> (
-              match int_of_string_opt n with
-              | Some n when n > 0 -> nodes := Some n
+              match (int_of_string_opt n, !nodes) with
+              | Some _, Some _ -> fail "duplicate 'nodes' directive"
+              | Some n, None when n > 0 ->
+                  nodes := Some n;
+                  error := List.find_map (endpoint_error n) (List.rev !arcs)
               | _ -> fail "bad node count")
           | [ "arc"; src; dst; cap; delay ] -> (
               match
@@ -74,7 +87,12 @@ let of_string s =
                     fail "arc capacity must be positive (got %.17g)" capacity
                   else if delay < 0. then
                     fail "arc delay must be non-negative (got %.17g)" delay
-                  else arcs := { Graph.src; dst; capacity; delay } :: !arcs
+                  else begin
+                    let arc = (lineno + 1, { Graph.src; dst; capacity; delay }) in
+                    match Option.bind !nodes (fun n -> endpoint_error n arc) with
+                    | Some e -> error := Some e
+                    | None -> arcs := arc :: !arcs
+                  end
               | _ -> fail "bad arc")
           | _ -> fail "unknown directive"
         end
@@ -84,7 +102,7 @@ let of_string s =
   | Some e, _ -> Error e
   | None, None -> Error "missing 'nodes' directive"
   | None, Some n -> (
-      match Graph.build ~n (List.rev !arcs) with
+      match Graph.build ~n (List.rev_map snd !arcs) with
       | g -> Ok g
       | exception Invalid_argument msg -> Error msg)
 

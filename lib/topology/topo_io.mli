@@ -17,7 +17,9 @@ val of_string : string -> (Dtr_graph.Graph.t, string) result
     Arc values are validated at parse time: NaN or infinite capacity /
     delay, non-positive capacity, and negative delay are rejected here
     (with the offending line number) instead of surfacing as a NaN
-    objective or an exception deep inside a search. *)
+    objective or an exception deep inside a search.  So are an arc
+    endpoint outside [[0, n)], a self-loop (at the arc's line, also
+    for arcs listed before [nodes]) and a second [nodes] directive. *)
 
 val save : Dtr_graph.Graph.t -> string -> unit
 (** Write to a file path.  @raise Sys_error on I/O failure. *)

@@ -3,7 +3,8 @@
    from-scratch Multi/Evaluate, and the Problem-level ctx API against
    eval_str/eval_dtr and, independently, Objective.evaluate — on random
    topologies under random single-weight change sequences, to 1e-12
-   (the engine is in fact built to be bitwise-identical). *)
+   (the engine is in fact built to be bitwise-identical) — and loads
+   against an independent ECMP oracle. *)
 
 module Prng = Dtr_util.Prng
 module Graph = Dtr_graph.Graph
@@ -355,42 +356,29 @@ let check_arc_order ~what problem ctx sol =
       done)
     [ ("ctx_arc_cmp_h", Problem.ctx_arc_cmp_h); ("ctx_arc_cmp_l", Problem.ctx_arc_cmp_l) ]
 
-let check_sla ~what (a : Problem.solution) (b : Problem.solution) =
-  match (a.Problem.result.Objective.sla, b.Problem.result.Objective.sla) with
-  | None, None -> ()
-  | Some x, Some y ->
-      if
-        x.Evaluate.arc_delay <> y.Evaluate.arc_delay
-        || x.Evaluate.pair_delays <> y.Evaluate.pair_delays
-        || x.Evaluate.violations <> y.Evaluate.violations
-      then Alcotest.failf "%s: SLA evaluation differs from scratch" what
-  | _ -> Alcotest.failf "%s: SLA evaluation present on one side only" what
-
 (* The independent anchor: [Problem]'s from-scratch evaluations run on
    the same engine as its probes, so "probe = from scratch" alone would
-   compare the engine with itself.  Every from-scratch side is also
-   compared, bit for bit, with Objective.evaluate — its own SPF sweep,
-   Loads.of_matrix projection and Evaluate.assemble. *)
+   compare the engine with itself.  Every from-scratch side and every
+   committed context's live view is also compared, bit for bit, with
+   Objective.evaluate — its own SPF sweep, Loads.of_matrix projection
+   and Evaluate.assemble. *)
 let same_bits a b =
   Array.length a = Array.length b
   && Array.for_all2
        (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
        a b
 
-let check_oracle ~what problem (s : Problem.solution) =
-  let o =
-    Objective.evaluate problem.Problem.model problem.Problem.graph
-      ~wh:s.Problem.wh ~wl:s.Problem.wl ~th:problem.Problem.th
-      ~tl:problem.Problem.tl
-  in
-  let lex (x : Lexico.t) = [| x.Lexico.primary; x.Lexico.secondary |] in
-  let a = s.Problem.result.Objective.eval and b = o.Objective.eval in
+let lex_bits (x : Lexico.t) = [| x.Lexico.primary; x.Lexico.secondary |]
+
+(* Two views agree bit for bit: objective, per-arc rows, Φ totals and
+   the Λ record. *)
+let check_view ~what (r : Objective.result) (o : Objective.result) =
+  let a = r.Objective.eval and b = o.Objective.eval in
   List.iter
     (fun (name, x, y) ->
-      if not (same_bits x y) then
-        Alcotest.failf "%s: %s differs from Objective.evaluate" what name)
+      if not (same_bits x y) then Alcotest.failf "%s: %s differs" what name)
     [
-      ("objective", lex (Problem.objective s), lex o.Objective.objective);
+      ("objective", lex_bits r.Objective.objective, lex_bits o.Objective.objective);
       ("h_loads", a.Evaluate.h_loads, b.Evaluate.h_loads);
       ("l_loads", a.Evaluate.l_loads, b.Evaluate.l_loads);
       ("residual", a.Evaluate.residual, b.Evaluate.residual);
@@ -399,7 +387,7 @@ let check_oracle ~what problem (s : Problem.solution) =
       ("phi", [| a.Evaluate.phi_h; a.Evaluate.phi_l |],
         [| b.Evaluate.phi_h; b.Evaluate.phi_l |]);
     ];
-  match (s.Problem.result.Objective.sla, o.Objective.sla) with
+  match (r.Objective.sla, o.Objective.sla) with
   | None, None -> ()
   | Some x, Some y ->
       let delays l = Array.of_list (List.map (fun (_, _, d) -> d) l) in
@@ -410,9 +398,40 @@ let check_oracle ~what problem (s : Problem.solution) =
           && pairs x.Evaluate.pair_delays = pairs y.Evaluate.pair_delays
           && same_bits (delays x.Evaluate.pair_delays)
                (delays y.Evaluate.pair_delays)
-          && x.Evaluate.violations = y.Evaluate.violations)
-      then Alcotest.failf "%s: SLA record differs from Objective.evaluate" what
+          && same_bits
+               [| x.Evaluate.lambda; x.Evaluate.worst_delay |]
+               [| y.Evaluate.lambda; y.Evaluate.worst_delay |]
+          && x.Evaluate.violations = y.Evaluate.violations
+          && x.Evaluate.unreachable = y.Evaluate.unreachable)
+      then Alcotest.failf "%s: SLA record differs" what
   | _ -> Alcotest.failf "%s: SLA record present on one side only" what
+
+(* [view] is the view of a context evaluating [s]'s weights. *)
+let check_oracle ~what problem (s : Problem.solution) view =
+  let o =
+    Objective.evaluate problem.Problem.model problem.Problem.graph
+      ~wh:s.Problem.wh ~wl:s.Problem.wl ~th:problem.Problem.th
+      ~tl:problem.Problem.tl
+  in
+  if not (same_bits (lex_bits (Problem.objective s)) (lex_bits o.Objective.objective))
+  then Alcotest.failf "%s: objective differs from Objective.evaluate" what;
+  check_view ~what:(what ^ " vs Objective.evaluate") view o
+
+(* A from-scratch solution's view: a fresh context of its weights (a
+   shared [wh == wl] is an STR context, as in [eval_str]). *)
+let fresh_view problem (s : Problem.solution) =
+  Problem.ctx_result problem
+    (Problem.ctx_of_weights problem ~wh:s.Problem.wh ~wl:s.Problem.wl)
+
+(* After a commit: the live context's view matches the oracle, and a
+   context re-pointed at the committed solution's DAG snapshot
+   ([ctx_of_solution]) has that view bit for bit — loads, residual, Φ
+   rows and the Λ record rebuilt from scratch. *)
+let check_committed ~what problem ctx (committed : Problem.solution) =
+  let live = Problem.ctx_result problem ctx in
+  check_oracle ~what problem committed live;
+  check_view ~what:(what ^ " re-pointed") live
+    (Problem.ctx_result problem (Problem.ctx_of_solution problem committed))
 
 let problem_delta_matches seed =
   let g = random_graph seed in
@@ -426,14 +445,15 @@ let problem_delta_matches seed =
       (* STR context. *)
       let w0 = Weights.random rng g in
       let sol = ref (Problem.eval_str problem ~w:w0) in
-      check_oracle ~what:"STR start" problem !sol;
+      check_oracle ~what:"STR start" problem !sol (fresh_view problem !sol);
       let ctx = Problem.ctx_of_solution problem !sol in
       for step = 1 to 4 do
         let w = !sol.Problem.wh in
         let changes = random_changes rng ~step w in
         let d = Problem.eval_delta problem ctx ~cls:`H ~changes in
         let scratch = Problem.eval_str problem ~w:(apply_changes w changes) in
-        check_oracle ~what:"STR scratch" problem scratch;
+        check_oracle ~what:"STR scratch" problem scratch
+          (fresh_view problem scratch);
         check_lex ~what:"STR probe objective" (Problem.delta_objective d)
           (Problem.objective scratch);
         (* Reject path: context still evaluates the base exactly. *)
@@ -441,10 +461,13 @@ let problem_delta_matches seed =
         let again = Problem.eval_delta problem ctx ~cls:`H ~changes in
         check_lex ~what:"STR probe after abort" (Problem.delta_objective again)
           (Problem.objective scratch);
-        let committed = Problem.commit_delta problem ctx again in
+        check_lex ~what:"STR commit returns the delta's objective"
+          (Problem.commit_delta ctx again)
+          (Problem.delta_objective again);
+        let committed = Problem.ctx_solution problem ctx in
         check_lex ~what:"STR committed objective" (Problem.objective committed)
           (Problem.objective scratch);
-        check_sla ~what:"STR commit" committed scratch;
+        check_committed ~what:"STR commit" problem ctx committed;
         Alcotest.(check bool) "committed solution is STR" true
           (Problem.is_str committed);
         check_arc_order ~what:"STR commit" problem ctx committed;
@@ -453,12 +476,13 @@ let problem_delta_matches seed =
       (* DTR context, both classes. *)
       let wh0 = Weights.random rng g and wl0 = Weights.random rng g in
       let sol = ref (Problem.eval_dtr problem ~wh:wh0 ~wl:wl0) in
-      check_oracle ~what:"DTR start" problem !sol;
+      check_oracle ~what:"DTR start" problem !sol (fresh_view problem !sol);
       (* One physical array on both sides is still a DTR setting. *)
       let shared = Problem.eval_dtr problem ~wh:wh0 ~wl:wh0 in
       Alcotest.(check bool) "eval_dtr ~wh:w ~wl:w is DTR" false
         (Problem.is_str shared);
-      check_oracle ~what:"DTR shared array" problem shared;
+      check_oracle ~what:"DTR shared array" problem shared
+        (fresh_view problem shared);
       let ctx = Problem.ctx_of_solution problem !sol in
       List.iteri
         (fun step cls ->
@@ -473,13 +497,17 @@ let problem_delta_matches seed =
             | `H -> Problem.eval_dtr problem ~wh:w' ~wl:!sol.Problem.wl
             | `L -> Problem.eval_dtr problem ~wh:!sol.Problem.wh ~wl:w'
           in
-          check_oracle ~what:"DTR scratch" problem scratch;
+          check_oracle ~what:"DTR scratch" problem scratch
+            (fresh_view problem scratch);
           check_lex ~what:"DTR probe objective" (Problem.delta_objective d)
             (Problem.objective scratch);
-          let committed = Problem.commit_delta problem ctx d in
+          check_lex ~what:"DTR commit returns the delta's objective"
+            (Problem.commit_delta ctx d)
+            (Problem.delta_objective d);
+          let committed = Problem.ctx_solution problem ctx in
           check_lex ~what:"DTR committed objective"
             (Problem.objective committed) (Problem.objective scratch);
-          check_sla ~what:"DTR commit" committed scratch;
+          check_committed ~what:"DTR commit" problem ctx committed;
           check_arc_order ~what:"DTR commit" problem ctx committed;
           sol := committed)
         [ `H; `L; `H; `L ])
@@ -514,7 +542,7 @@ let test_problem_counters () =
         let d =
           Problem.eval_delta problem ctx ~cls ~changes:[ random_change rng w ]
         in
-        ignore (Problem.commit_delta problem ctx d);
+        ignore (Problem.commit_delta ctx d);
         Alcotest.(check int)
           (Printf.sprintf "%s %s: full evaluations" name what)
           0
@@ -596,8 +624,9 @@ let test_eval_ctx_revisited_arc () =
   let d = Problem.eval_delta problem pctx ~cls:`H ~changes:[ (a, v1); (a, wa) ] in
   check_lex ~what:"round-trip objective" (Problem.delta_objective d)
     (Problem.objective sol);
-  let committed = Problem.commit_delta problem pctx d in
-  Alcotest.(check (array int)) "weights unchanged" wh committed.Problem.wh;
+  ignore (Problem.commit_delta pctx d);
+  Alcotest.(check (array int)) "weights unchanged" wh
+    (Problem.ctx_weights pctx `H);
   Alcotest.(check int) "memo key unchanged" key0 (Problem.ctx_base_key pctx);
   Alcotest.(check int) "memo key = fresh key"
     (Problem.ctx_base_key_fresh pctx) (Problem.ctx_base_key pctx);
@@ -1012,6 +1041,14 @@ let lambda_ops ~what g ~weights ~th ~tl ~dest_mode ~seed ~ops =
   let rng = Prng.create seed in
   let ctx = Eval_ctx.create ~dest_mode g ~weights ~matrices:[| th; tl |] in
   let lam = ref (Lambda.of_ctx sla_params ~th ctx) in
+  (* A Problem context of the same weights, committed in lock-step. *)
+  let problem =
+    {
+      (Problem.create ~graph:g ~th ~tl ~model:(Objective.Sla sla_params)) with
+      Problem.dest_mode;
+    }
+  in
+  let pctx = Problem.ctx_of_weights problem ~wh:weights.(0) ~wl:weights.(1) in
   let sc = Lambda.scratch !lam in
   let m = Graph.arc_count g and n = Graph.node_count g in
   let links = Graph.undirected_link_pairs g in
@@ -1035,6 +1072,24 @@ let lambda_ops ~what g ~weights ~th ~tl ~dest_mode ~seed ~ops =
     if Eval_ctx.shares_group ctx 0 klass then lam := Lambda.commit !lam sc ctx p;
     Eval_ctx.commit ctx p;
     incr commits;
+    (* The same move through Problem: its live view carries this Λ
+       state, and a context re-pointed at the committed solution's DAG
+       snapshot has that view bit for bit. *)
+    let cls = if klass = 0 then `H else `L in
+    let changes =
+      Problem.weight_changes (Problem.ctx_weights_view pctx cls)
+        (Eval_ctx.weights_view ctx klass)
+    in
+    ignore
+      (Problem.commit_delta pctx
+         (Problem.eval_delta ~count:false problem pctx ~cls ~changes));
+    let live = Problem.ctx_result problem pctx in
+    (match live.Objective.sla with
+    | Some sla -> check_lambda ~what:(what ^ ": Problem view") sla !lam
+    | None -> Alcotest.failf "%s: Problem view has no SLA record" what);
+    check_view ~what:(what ^ ": re-pointed") live
+      (Problem.ctx_result problem
+         (Problem.ctx_of_solution problem (Problem.ctx_solution problem pctx)));
     let dags = Eval_ctx.dags ctx 0 in
     check_lambda ~what:(what ^ ": committed")
       (Evaluate.sla_of_rows sla_params g ~dags_h:dags
@@ -1142,6 +1197,134 @@ let test_lambda_sequences () =
         ])
     graphs
 
+(* ------------------------------------------------------------------ *)
+(* Independent ECMP oracle
+
+   A from-first-principles reading of OSPF ECMP that shares no code
+   with Spf, Loads or Eval_ctx: Floyd–Warshall distances, the next-hop
+   arcs of u towards t are those with w(a) + d(v, t) = d(u, t), and
+   each demand is pushed hop by hop, split evenly over the next-hop
+   arcs at every node it reaches (parallel arcs are separate next
+   hops).  Pushing every path separately is exponential in the ECMP
+   depth, so it stays on small fixtures. *)
+
+let ecmp_oracle g ~w m =
+  let n = Graph.node_count g and arcs = Graph.arcs g in
+  let inf = max_int / 4 in
+  let d = Array.make_matrix n n inf in
+  for v = 0 to n - 1 do
+    d.(v).(v) <- 0
+  done;
+  Array.iteri
+    (fun a (arc : Graph.arc) ->
+      d.(arc.src).(arc.dst) <- min d.(arc.src).(arc.dst) w.(a))
+    arcs;
+  for k = 0 to n - 1 do
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        if d.(i).(k) + d.(k).(j) < d.(i).(j) then d.(i).(j) <- d.(i).(k) + d.(k).(j)
+      done
+    done
+  done;
+  let out = Array.make n [] in
+  Array.iteri (fun a (arc : Graph.arc) -> out.(arc.src) <- a :: out.(arc.src)) arcs;
+  let load = Array.make (Array.length arcs) 0. in
+  let rec push u t f =
+    if u <> t then begin
+      let hops =
+        List.filter
+          (fun a -> w.(a) + d.(arcs.(a).Graph.dst).(t) = d.(u).(t))
+          out.(u)
+      in
+      let share = f /. float_of_int (List.length hops) in
+      List.iter
+        (fun a ->
+          load.(a) <- load.(a) +. share;
+          push arcs.(a).Graph.dst t share)
+        hops
+    end
+  in
+  Matrix.iter m (fun s t v -> if v > 0. && s <> t then push s t v);
+  load
+
+let check_rel ~what expected actual =
+  Array.iteri
+    (fun a e ->
+      let x = actual.(a) in
+      if Float.abs (e -. x) > 1e-9 *. Float.max (Float.abs e) (Float.abs x) then
+        Alcotest.failf "%s: arc %d carries %.17g, oracle %.17g" what a x e)
+    expected
+
+(* Both production paths — the reference Evaluate.evaluate and the
+   engine's Eval_ctx — against the oracle, both classes. *)
+let check_ecmp ~what g ~wh ~wl ~th ~tl =
+  let oh = ecmp_oracle g ~w:wh th and ol = ecmp_oracle g ~w:wl tl in
+  let ev = Evaluate.evaluate g ~wh ~wl ~th ~tl in
+  check_rel ~what:(what ^ " Evaluate H") oh ev.Evaluate.h_loads;
+  check_rel ~what:(what ^ " Evaluate L") ol ev.Evaluate.l_loads;
+  List.iter
+    (fun dest_mode ->
+      let ctx =
+        Eval_ctx.create ~dest_mode g ~weights:[| wh; wl |] ~matrices:[| th; tl |]
+      in
+      check_rel ~what:(what ^ " Eval_ctx H") oh (Eval_ctx.loads ctx 0);
+      check_rel ~what:(what ^ " Eval_ctx L") ol (Eval_ctx.loads ctx 1))
+    [ Eval_ctx.All; Eval_ctx.Demand ]
+
+let test_ecmp_oracle () =
+  let fixtures =
+    [ ("random 1", random_graph 1); ("random 2", random_graph 2);
+      ("random 3", random_graph 3); ("ring", Dtr_topology.Classic.ring 9);
+      ("parallel ring", parallel_ring ()) ]
+  in
+  List.iteri
+    (fun i (name, g) ->
+      let rng = Prng.create (500 + i) in
+      let th, tl = random_matrices rng g in
+      (* Random weights rarely tie; unit weights tie on every
+         equal-hop path. *)
+      check_ecmp ~what:(name ^ " random") g ~wh:(Weights.random rng g)
+        ~wl:(Weights.random rng g) ~th ~tl;
+      check_ecmp ~what:(name ^ " unit") g ~wh:(Weights.uniform g 1)
+        ~wl:(Weights.uniform g 1) ~th ~tl)
+    fixtures
+
+(* Three equal-cost paths 0 -> 5: 0-1-5, and 0-2-3-5 / 0-2-4-5, which
+   split again at 2.  OSPF ECMP splits per hop, so each first arc
+   carries 1/2; a per-path split (SNIPPETS.md snippet 2) would put 1/3
+   on 0->1 and 2/3 on 0->2. *)
+let test_ecmp_asymmetric_diamond () =
+  let links = [ (0, 1, 2); (1, 5, 1); (0, 2, 1); (2, 3, 1); (2, 4, 1); (3, 5, 1); (4, 5, 1) ] in
+  let arcs =
+    List.concat_map
+      (fun (a, b, _) ->
+        [ { Graph.src = a; dst = b; capacity = 10.; delay = 1. };
+          { Graph.src = b; dst = a; capacity = 10.; delay = 1. } ])
+      links
+  in
+  let g = Graph.build ~n:6 arcs in
+  let w = Array.of_list (List.concat_map (fun (_, _, w) -> [ w; w ]) links) in
+  let th = Matrix.create 6 and tl = Matrix.create 6 in
+  Matrix.set th 0 5 1.;
+  Matrix.set tl 0 5 1.;
+  let wl = Array.copy w in
+  check_ecmp ~what:"diamond" g ~wh:w ~wl ~th ~tl;
+  let arc src dst =
+    let rec find a =
+      let x = Graph.arc g a in
+      if x.Graph.src = src && x.Graph.dst = dst then a else find (a + 1)
+    in
+    find 0
+  in
+  let ev = Evaluate.evaluate g ~wh:w ~wl ~th ~tl in
+  List.iter
+    (fun (src, dst, share) ->
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "%d->%d carries %g" src dst share)
+        share
+        ev.Evaluate.h_loads.(arc src dst))
+    [ (0, 1, 0.5); (0, 2, 0.5); (2, 3, 0.25); (2, 4, 0.25); (1, 5, 0.5) ]
+
 let () =
   Alcotest.run "delta"
     [
@@ -1180,5 +1363,12 @@ let () =
       ( "lambda",
         [
           Alcotest.test_case "SLA commit sequences" `Quick test_lambda_sequences;
+        ] );
+      ( "ecmp",
+        [
+          Alcotest.test_case "oracle = Evaluate/Eval_ctx loads" `Quick
+            test_ecmp_oracle;
+          Alcotest.test_case "asymmetric diamond: 1/2 per hop" `Quick
+            test_ecmp_asymmetric_diamond;
         ] );
     ]

@@ -535,7 +535,7 @@ let bounded_equals_full problem ~seed =
     let v = Weights.min_weight + Prng.int rng Weights.max_weight in
     let cls = if Prng.int rng 2 = 0 then `H else `L in
     let d = Problem.eval_delta problem ctx ~cls ~changes:[ (arc, v) ] in
-    normal := Problem.objective (Problem.commit_delta problem ctx d)
+    normal := Problem.commit_delta ctx d
   done;
   !cut
 

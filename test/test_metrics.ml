@@ -295,13 +295,7 @@ let test_inspect_golden_abilene () =
         (Report.per_pair_delay_table ~top:3
            ~node_name:Dtr_topology.Abilene.city_name sla Dtr_cost.Sla.default)
   | None -> Alcotest.fail "sla model produced no sla view");
-  let golden =
-    let ic = open_in "inspect_abilene.golden" in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  Alcotest.(check string) "inspect tables match golden" golden
+  Golden.check ~what:"inspect tables match golden" "inspect_abilene.golden"
     (Buffer.contents buf)
 
 let () =

@@ -422,20 +422,8 @@ let test_diff_golden_abilene () =
   add (Diff.reconvergence_table rc);
   Buffer.add_string buf (Diff.to_json ~reconv:rc d);
   Buffer.add_char buf '\n';
-  let out = Buffer.contents buf in
-  match Sys.getenv_opt "DTR_UPDATE_GOLDEN" with
-  | Some _ ->
-      let oc = open_out "diff_abilene.golden" in
-      output_string oc out;
-      close_out oc
-  | None ->
-      let golden =
-        let ic = open_in "diff_abilene.golden" in
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      Alcotest.(check string) "diff tables match golden" golden out
+  Golden.check ~what:"diff tables match golden" "diff_abilene.golden"
+    (Buffer.contents buf)
 
 (* ------------------------------------------------------------------ *)
 (* Batched weight deployment *)

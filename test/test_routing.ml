@@ -752,7 +752,27 @@ let test_weights_io_rejects_duplicate_arc () =
 
 let test_weights_io_rejects_short_row () =
   check_rejected "short row" "arcs 1 topologies 2\nw 0 5\n"
-    "arc 0: expected 2 weights"
+    "line 2: arc 0: expected 2 weights";
+  check_rejected "long row" "arcs 2 topologies 1\nw 0 5\nw 1 6 7\n"
+    "line 3: arc 1: expected 1 weights"
+
+(* A header is only a claim: rows are checked against it at their own
+   line, before anything is allocated from it. *)
+let test_weights_io_rejects_bad_header_claims () =
+  check_rejected ~arcs:2 "huge topology count"
+    "arcs 2 topologies 4611686018427387903\nw 0 5\nw 1 6\n"
+    "line 2: arc 0: expected 4611686018427387903 weights";
+  check_rejected "large topology count"
+    "arcs 2 topologies 100000000\nw 0 5\nw 1 6\n"
+    "line 2: arc 0: expected 100000000 weights";
+  check_rejected "arc out of range" "arcs 2 topologies 1\nw 0 5\nw 7 6\n"
+    "line 3: arc 7 out of range";
+  check_rejected "negative arc" "arcs 2 topologies 1\nw -1 5\n"
+    "line 2: arc -1 out of range";
+  check_rejected "second header" "arcs 1 topologies 1\nw 0 5\narcs 1 topologies 1\n"
+    "line 3: duplicate header";
+  check_rejected "row before header" "w 0 5\narcs 1 topologies 1\n"
+    "missing header"
 
 let test_weights_io_rejects_junk () =
   check_rejected "junk header" "arcs two topologies 1\nw 0 5\n"
@@ -946,6 +966,8 @@ let () =
             test_weights_io_rejects_duplicate_arc;
           Alcotest.test_case "rejects short row" `Quick
             test_weights_io_rejects_short_row;
+          Alcotest.test_case "rejects bad header claims" `Quick
+            test_weights_io_rejects_bad_header_claims;
           Alcotest.test_case "rejects junk" `Quick test_weights_io_rejects_junk;
           Alcotest.test_case "rejects other topology" `Quick
             test_weights_io_rejects_other_topology;

@@ -460,6 +460,10 @@ let test_io_rejects_invalid_values () =
       ("nodes 2\n# comment\n\narc 0 1 0 1\n", "line 4");
       ("nodes 2\narc 0 1 1\n", "line 2");
       ("nodes 2\narc 0 1 1 1 1\n", "line 2");
+      ("nodes 2\narc 0 5 1 1\n", "line 2");
+      ("nodes 2\narc 1 1 1 1\n", "line 2");
+      ("nodes 2\narc 0 1 1 1\nnodes 3\n", "line 3");
+      ("arc 0 1 1 1\narc 2 0 1 1\nnodes 2\n", "line 2");
     ]
   in
   List.iter
